@@ -1,12 +1,14 @@
 """Durable state for crowd-max runs: persistent cache + job journal.
 
 Comparisons cost money; losing a process should not mean re-buying
-them.  This package provides the two stdlib-only durability
-primitives (no scheduler imports — the scheduler imports *us*):
+them.  This package provides the two durability primitives, built on
+the stdlib and numpy only (no scheduler imports — the scheduler
+imports *us*):
 
 * :class:`PersistentComparisonStore` — settled judgments in SQLite
-  (WAL), version-stamped and checksummed, rebuilt cold on any
-  validation failure;
+  (WAL), one columnar row per cache segment per commit,
+  version-stamped and checksummed, rebuilt cold on any validation
+  failure;
 * :class:`JobJournal` — an append-only, CRC-framed record of every
   batch a run bought, with torn-tail recovery, from which a killed
   scheduler run resumes bit-identically;

@@ -13,13 +13,20 @@ Framing
 -------
 One JSON object per line.  Each record carries a ``crc`` field — a
 truncated SHA-256 over the canonical (compact, sorted-keys) encoding
-of the rest of the record.  A standalone append is flushed and
-``fsync``\\ ed before returning; a *group commit*
-(:meth:`JobJournal.begin_group` / :meth:`JobJournal.commit_group`)
-buffers many records and lands them with one write + one fsync — how
-the scheduler frames all of a tick's serve records.  Either way a
-record reaches the disk whole or not at all from the journal's point
-of view; a crash mid-write leaves at most one torn final line.
+of the rest of the record — written first: a line is
+``{"crc":"<16 hex>",`` followed by that canonical encoding without its
+opening brace, so an append encodes its record once.  Array payloads
+(a serve record's pair indices and answer flags) are base64 text made
+by the codec next to :data:`JOURNAL_FORMAT`: index arrays as
+little-endian int32, boolean arrays bit-packed with ``np.packbits``.
+A standalone append is flushed and ``fsync``\\ ed before returning; a
+*group commit* (:meth:`JobJournal.begin_group` /
+:meth:`JobJournal.commit_group`) buffers many records and lands them
+with one write + one fsync — how the scheduler frames all of a tick's
+serve and ``settled`` records.
+Either way a record reaches the disk whole or not at all from the
+journal's point of view; a crash mid-write leaves at most one torn
+final line.
 
 :meth:`recover` reads records until the first line that is incomplete,
 unparseable, or fails its CRC, then **truncates the file there**
@@ -33,6 +40,8 @@ double-settle one.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import os
@@ -40,16 +49,73 @@ import signal
 from pathlib import Path
 from typing import Any
 
-__all__ = ["JOURNAL_FORMAT", "JournalRecord", "JobJournal"]
+import numpy as np
+
+from .errors import DurabilityError
+
+__all__ = [
+    "JOURNAL_FORMAT",
+    "JournalRecord",
+    "JobJournal",
+    "encode_indices",
+    "decode_indices",
+    "encode_flags",
+    "decode_flags",
+]
 
 #: Stamped into the journal header; readers reject other formats.
-JOURNAL_FORMAT = "repro.journal/v1"
+JOURNAL_FORMAT = "repro.journal/v2"
 
 JournalRecord = dict[str, Any]
 
+_INT32 = np.iinfo(np.int32)
 
-def _record_crc(payload: dict[str, Any]) -> str:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+def encode_indices(values: np.ndarray) -> str:
+    """An index array as base64 text of little-endian int32."""
+    values = np.asarray(values)
+    if len(values) and (values.min() < _INT32.min or values.max() > _INT32.max):
+        raise ValueError("journal index arrays must fit in int32")
+    return base64.b64encode(values.astype("<i4").tobytes()).decode("ascii")
+
+
+def decode_indices(text: str) -> np.ndarray:
+    """Inverse of :func:`encode_indices`; a malformed payload raises
+    :class:`~repro.durability.errors.DurabilityError`."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError) as exc:
+        raise DurabilityError(f"journal index array is not base64: {exc}") from exc
+    if len(raw) % 4:
+        raise DurabilityError("journal index array is not a whole number of int32")
+    return np.frombuffer(raw, dtype="<i4").astype(np.intp)
+
+
+def encode_flags(values: np.ndarray) -> str:
+    """A boolean array as base64 text of its ``np.packbits`` bytes."""
+    return base64.b64encode(np.packbits(np.asarray(values, dtype=bool)).tobytes()).decode(
+        "ascii"
+    )
+
+
+def decode_flags(text: str, count: int) -> np.ndarray:
+    """Inverse of :func:`encode_flags` for an array of ``count`` flags."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError) as exc:
+        raise DurabilityError(f"journal flag array is not base64: {exc}") from exc
+    if len(raw) != (count + 7) // 8:
+        raise DurabilityError(
+            f"journal flag array holds {len(raw)} bytes, expected {(count + 7) // 8}"
+        )
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count).astype(bool)
+
+
+def _canonical(payload: dict[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
 
@@ -93,8 +159,11 @@ class JobJournal:
         record must not be made observable elsewhere before then.
         """
         payload: dict[str, Any] = {"kind": kind, **fields}
-        record: JournalRecord = {"crc": _record_crc(payload), **payload}
-        line = json.dumps(record, sort_keys=True) + "\n"
+        body = _canonical(payload)
+        crc = _crc(body)
+        # The line is the canonical body with the CRC spliced in front.
+        line = f'{{"crc":"{crc}",{body[1:]}\n'
+        record: JournalRecord = {"crc": crc, **payload}
         if self._group is not None:
             self._group.append(line)
             return record
@@ -105,12 +174,17 @@ class JobJournal:
         """Open a group commit: buffer appends until :meth:`commit_group`.
 
         Group commits amortize durability — the scheduler frames all of
-        one tick's serve records into a single write + fsync instead of
-        one fsync per record.  Groups do not nest.
+        one tick's serve and ``settled`` records into a single write +
+        fsync instead of one fsync per record.  Groups do not nest.
         """
         if self._group is not None:
             raise RuntimeError("journal group already open")
         self._group = []
+
+    @property
+    def group_open(self) -> bool:
+        """Whether a group commit is open (appends are being buffered)."""
+        return self._group is not None
 
     def commit_group(self) -> None:
         """Write the buffered group durably with one fsync.
@@ -191,7 +265,7 @@ class JobJournal:
             if not isinstance(record, dict) or "crc" not in record:
                 break
             payload = {k: v for k, v in record.items() if k != "crc"}
-            if record["crc"] != _record_crc(payload):
+            if record["crc"] != _crc(_canonical(payload)):
                 break
             records.append(record)
             offset = newline + 1

@@ -5,12 +5,16 @@ pairwise judgment is a paid crowd task — so the cross-job
 :class:`~repro.scheduler.cache.ComparisonMemoCache` holds real spent
 budget.  This module keeps that state alive across process restarts:
 :class:`PersistentComparisonStore` is a SQLite (stdlib ``sqlite3``,
-WAL mode) table of settled answers under the cache's own keys,
+WAL mode) table of settled answers grouped by the cache's *segments*,
 
-``(instance fingerprint, pool name, judgments per task, lo, hi)``
+``(instance fingerprint, pool name, judgments per task)``
 
-with ``lo < hi`` and the answer normalised to "``lo`` wins", exactly
-mirroring the in-memory normalisation.
+with **one row per segment per commit**.  A row's ``pairs`` BLOB holds
+the segment's pairs as three columns back to back,
+``<i4 lo ‖ <i4 hi ‖ u1 lo_wins`` (9 bytes a pair), with ``lo < hi``
+and the answer normalised to "``lo`` wins", exactly mirroring the
+in-memory normalisation.  Rows are read in commit order and later rows
+win, so a pair written twice reads back with its last answer (upsert).
 
 Trust model
 -----------
@@ -20,10 +24,11 @@ validates before serving:
 * a ``schema_version`` / ``cache_version`` stamp in the ``meta`` table
   — a mismatch (new code, old store or vice versa) **rebuilds cold**
   with a warning rather than serving judgments under a stale encoding;
-* a per-row checksum over the full key and answer — any row that fails
-  verification marks the whole store untrusted and it is rebuilt cold
-  (reject-and-rebuild), because a store that tampers or bit-rots once
-  cannot be trusted row-by-row.
+* a per-segment-row checksum over the full segment key and the blob,
+  plus a check that the blob is a whole number of pairs — any row that
+  fails verification marks the whole store untrusted and it is rebuilt
+  cold (reject-and-rebuild), because a store that tampers or bit-rots
+  once cannot be trusted row-by-row.
 
 Rebuilding loses only *cached reuse* (judgments will be re-bought);
 it can never corrupt results, which is the right trade for a cache.
@@ -37,7 +42,9 @@ import hashlib
 import sqlite3
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping
+
+import numpy as np
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -46,29 +53,70 @@ __all__ = [
     "PersistentComparisonStore",
 ]
 
-#: Layout version of the SQLite schema itself.
-STORE_SCHEMA_VERSION = 1
+#: Layout version of the SQLite schema itself.  Version 2 stores one
+#: BLOB row per segment per commit (version 1 stored one row a pair).
+STORE_SCHEMA_VERSION = 2
 
 #: Version of the judgment *encoding* (key normalisation, answer
 #: polarity).  Bump whenever cached answers written by older code must
 #: not be reused, even though the table layout still parses.
 STORE_CACHE_VERSION = 1
 
-#: One store key, identical to the in-memory cache's ``_Key``:
-#: (fingerprint, pool_name, judgments_per_task, lo, hi) with lo < hi.
-Key = tuple[str, str, int, int, int]
+#: One cache segment: (fingerprint, pool_name, judgments_per_task).
+Segment = tuple[str, str, int]
+
+#: A segment's pairs as columns: ``(lo, hi, lo_wins)`` with lo < hi.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Bytes one pair occupies in a row's blob: two int32 and one uint8.
+_PAIR_BYTES = 9
 
 
 class StoreRebuiltWarning(UserWarning):
     """A persistent store failed validation and was rebuilt cold."""
 
 
-def _row_checksum(
-    fingerprint: str, pool: str, judgments: int, lo: int, hi: int, lo_wins: int
-) -> str:
-    """Checksum binding a row's full key to its answer."""
-    body = f"{fingerprint}|{pool}|{judgments}|{lo}|{hi}|{lo_wins}"
-    return hashlib.sha256(body.encode("ascii")).hexdigest()[:16]
+def _row_checksum(fingerprint: str, pool: str, judgments: int, pairs: bytes) -> str:
+    """Checksum binding a segment row's full key to its pairs blob."""
+    digest = hashlib.sha256(f"{fingerprint}|{pool}|{judgments}|".encode("utf-8"))
+    digest.update(pairs)
+    return digest.hexdigest()[:16]
+
+
+def _encode(lo: np.ndarray, hi: np.ndarray, lo_wins: np.ndarray) -> bytes:
+    """One row's blob: ``<i4 lo ‖ <i4 hi ‖ u1 lo_wins``."""
+    lo, hi, lo_wins = np.asarray(lo), np.asarray(hi), np.asarray(lo_wins)
+    if not len(lo) == len(hi) == len(lo_wins):
+        raise ValueError("lo, hi and lo_wins columns must have one length")
+    if lo.min() < 0 or hi.max() > np.iinfo(np.int32).max:
+        raise ValueError("stored pair indices must lie in [0, 2**31)")
+    return (
+        lo.astype("<i4").tobytes()
+        + hi.astype("<i4").tobytes()
+        + lo_wins.astype(np.uint8).tobytes()
+    )
+
+
+def _decode(pairs: bytes) -> Columns:
+    """Inverse of :func:`_encode` for a blob already verified whole."""
+    count = len(pairs) // _PAIR_BYTES
+    lo = np.frombuffer(pairs, dtype="<i4", count=count)
+    hi = np.frombuffer(pairs, dtype="<i4", count=count, offset=4 * count)
+    lo_wins = np.frombuffer(pairs, dtype=np.uint8, count=count, offset=8 * count)
+    return lo.astype(np.intp), hi.astype(np.intp), lo_wins.astype(bool)
+
+
+def _merge(rows: list[Columns]) -> Columns:
+    """Concatenate a segment's rows, keeping each pair's *last* answer.
+
+    The result is sorted by ``(lo, hi)``, so two stores holding the same
+    judgments load to identical columns whatever their commit history.
+    """
+    lo, hi, lo_wins = (np.concatenate(column) for column in zip(*rows))
+    codes = (lo.astype(np.int64) << 32) | hi
+    _, first_from_end = np.unique(codes[::-1], return_index=True)
+    keep = len(codes) - 1 - first_from_end
+    return lo[keep], hi[keep], lo_wins[keep]
 
 
 class PersistentComparisonStore:
@@ -83,12 +131,13 @@ class PersistentComparisonStore:
         mismatch-rebuild path; production code always uses the module
         constants.
 
-    Opening validates the version stamps and **every row's checksum**;
-    any failure emits a :class:`StoreRebuiltWarning` and restarts the
-    store cold (the reason is kept on :attr:`rebuilt_reason`).  The
-    connection allows cross-thread use because the scheduler may be
-    constructed and run on different threads, but access is expected
-    to be serial (the scheduler's event loop is single-threaded).
+    Opening validates the version stamps and **every segment row's
+    checksum and layout**; any failure emits a
+    :class:`StoreRebuiltWarning` and restarts the store cold (the
+    reason is kept on :attr:`rebuilt_reason`).  The connection allows
+    cross-thread use because the scheduler may be constructed and run
+    on different threads, but access is expected to be serial (the
+    scheduler's event loop is single-threaded).
     """
 
     def __init__(
@@ -146,8 +195,9 @@ class PersistentComparisonStore:
                 f"code {self.cache_version!r})"
             )
             return
-        if not self._rows_verify():
-            self._rebuild("row checksum mismatch (corrupted or tampered row)")
+        fault = self._row_fault()
+        if fault is not None:
+            self._rebuild(f"{fault} (corrupted or tampered row)")
 
     def _create_schema(self) -> None:
         with self._conn:
@@ -159,11 +209,8 @@ class PersistentComparisonStore:
                 " fingerprint TEXT NOT NULL,"
                 " pool TEXT NOT NULL,"
                 " judgments INTEGER NOT NULL,"
-                " lo INTEGER NOT NULL,"
-                " hi INTEGER NOT NULL,"
-                " lo_wins INTEGER NOT NULL,"
-                " checksum TEXT NOT NULL,"
-                " PRIMARY KEY (fingerprint, pool, judgments, lo, hi))"
+                " pairs BLOB NOT NULL,"
+                " checksum TEXT NOT NULL)"
             )
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta VALUES ('schema_version', ?)",
@@ -180,23 +227,22 @@ class PersistentComparisonStore:
         ).fetchone()
         return None if row is None else str(row[0])
 
-    def _rows_verify(self) -> bool:
-        """Whether every stored row's checksum matches its contents."""
+    def _row_fault(self) -> str | None:
+        """Why some segment row cannot be trusted, or ``None`` if all can."""
         try:
             rows = self._conn.execute(
-                "SELECT fingerprint, pool, judgments, lo, hi, lo_wins, checksum"
-                " FROM comparisons"
+                "SELECT fingerprint, pool, judgments, pairs, checksum FROM comparisons"
             )
-            for fingerprint, pool, judgments, lo, hi, lo_wins, checksum in rows:
-                expected = _row_checksum(
-                    str(fingerprint), str(pool), int(judgments), int(lo), int(hi),
-                    int(lo_wins),
-                )
-                if checksum != expected:
-                    return False
+            for fingerprint, pool, judgments, pairs, checksum in rows:
+                if not isinstance(pairs, bytes) or len(pairs) % _PAIR_BYTES:
+                    return "segment row layout mismatch (blob is not whole pairs)"
+                if checksum != _row_checksum(
+                    str(fingerprint), str(pool), int(judgments), pairs
+                ):
+                    return "segment row checksum mismatch"
         except sqlite3.DatabaseError:
-            return False
-        return True
+            return "segment rows unreadable"
+        return None
 
     def _rebuild(self, reason: str) -> None:
         """Drop everything and start cold, keeping the reason visible."""
@@ -214,40 +260,65 @@ class PersistentComparisonStore:
     # ------------------------------------------------------------------
     # Contents
     # ------------------------------------------------------------------
-    def load(self) -> dict[Key, bool]:
-        """All stored judgments as an in-memory ``{key: lo_wins}`` map."""
-        out: dict[Key, bool] = {}
-        rows = self._conn.execute(
-            "SELECT fingerprint, pool, judgments, lo, hi, lo_wins FROM comparisons"
-        )
-        for fingerprint, pool, judgments, lo, hi, lo_wins in rows:
-            out[(str(fingerprint), str(pool), int(judgments), int(lo), int(hi))] = bool(
-                lo_wins
-            )
-        return out
+    def _read(
+        self, where: str = "", params: list[object] | None = None
+    ) -> dict[Segment, Columns]:
+        """The selected segments' pairs, later rows winning per pair."""
+        rows: dict[Segment, list[Columns]] = {}
+        for fingerprint, pool, judgments, pairs in self._conn.execute(
+            "SELECT fingerprint, pool, judgments, pairs FROM comparisons"
+            + where
+            + " ORDER BY rowid",
+            params or [],
+        ):
+            segment = (str(fingerprint), str(pool), int(judgments))
+            rows.setdefault(segment, []).append(_decode(pairs))
+        return {segment: _merge(parts) for segment, parts in rows.items()}
 
-    def write_entries(self, entries: Iterable[tuple[Key, bool]]) -> int:
-        """Upsert settled judgments in one transaction; returns count."""
-        rows = [
-            (
-                key[0], key[1], key[2], key[3], key[4], int(lo_wins),
-                _row_checksum(key[0], key[1], key[2], key[3], key[4], int(lo_wins)),
+    def load(self) -> dict[Segment, Columns]:
+        """All stored judgments as ``{segment: (lo, hi, lo_wins)}`` columns.
+
+        Each segment's columns are sorted by ``(lo, hi)`` and hold every
+        stored pair once, with the answer of the latest row that wrote
+        it (upsert semantics).
+        """
+        return self._read()
+
+    def write_entries(self, segments: Mapping[Segment, Columns]) -> int:
+        """Commit settled judgments in one transaction; returns pairs written.
+
+        Each segment's ``(lo, hi, lo_wins)`` columns become one row (one
+        blob and one checksum); empty segments are skipped.  A pair
+        already stored is superseded by the new row (upsert).
+        """
+        rows: list[tuple[str, str, int, bytes, str]] = []
+        written = 0
+        for (fingerprint, pool, judgments), (lo, hi, lo_wins) in segments.items():
+            if not len(lo):
+                continue
+            pairs = _encode(lo, hi, lo_wins)
+            judgments = int(judgments)
+            rows.append(
+                (
+                    fingerprint,
+                    pool,
+                    judgments,
+                    pairs,
+                    _row_checksum(fingerprint, pool, judgments, pairs),
+                )
             )
-            for key, lo_wins in entries
-        ]
-        if not rows:
-            return 0
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO comparisons VALUES (?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-        return len(rows)
+            written += len(lo)
+        if rows:
+            with self._conn:
+                self._conn.executemany(
+                    "INSERT INTO comparisons VALUES (?, ?, ?, ?, ?)", rows
+                )
+        return written
 
     def invalidate(
         self, fingerprint: str | None = None, pool_name: str | None = None
     ) -> int:
-        """Delete rows matching the filters; returns how many were removed.
+        """Delete the matching segments; returns how many pairs were removed.
 
         The same selector semantics as the in-memory cache's
         ``invalidate``: no filters clears everything, ``fingerprint``
@@ -262,16 +333,15 @@ class PersistentComparisonStore:
         if pool_name is not None:
             clauses.append("pool = ?")
             params.append(pool_name)
-        sql = "DELETE FROM comparisons"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
+        where = " WHERE " + " AND ".join(clauses) if clauses else ""
+        removed = sum(len(lo) for lo, _, _ in self._read(where, params).values())
         with self._conn:
-            cur = self._conn.execute(sql, params)
-        return int(cur.rowcount)
+            self._conn.execute("DELETE FROM comparisons" + where, params)
+        return removed
 
     def __len__(self) -> int:
-        row = self._conn.execute("SELECT COUNT(*) FROM comparisons").fetchone()
-        return int(row[0])
+        """Distinct stored pairs across every segment."""
+        return sum(len(lo) for lo, _, _ in self.load().values())
 
     def close(self) -> None:
         """Close the connection (committed data stays on disk)."""
@@ -283,7 +353,7 @@ class PersistentComparisonStore:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def __iter__(self) -> Iterator[tuple[Key, bool]]:
+    def __iter__(self) -> Iterator[tuple[Segment, Columns]]:
         return iter(self.load().items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

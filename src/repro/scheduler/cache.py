@@ -27,15 +27,17 @@ execution; see ``docs/SCHEDULER.md`` for the full contract.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
-from ..durability.store import PersistentComparisonStore
+from ..durability.store import Columns, PersistentComparisonStore, Segment
 from ..telemetry import Tracer, resolve_tracer
 
 __all__ = [
     "fingerprint_instance",
+    "pair_codes",
     "ComparisonMemoCache",
     "DurableComparisonCache",
 ]
@@ -61,24 +63,46 @@ def fingerprint_instance(instance: ProblemInstance | np.ndarray) -> str:
     return digest.hexdigest()
 
 
-#: One cache key: (fingerprint, pool, judgments_per_task, lo, hi).
-_Key = tuple[str, str, int, int, int]
+_INDEX_LIMIT = 1 << 31
+
+
+def pair_codes(indices_i: np.ndarray, indices_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed unordered pair codes plus which pairs were flipped to make them.
+
+    A pair ``(i, j)`` packs to ``lo << 32 | hi`` with ``lo = min(i, j)``
+    and ``hi = max(i, j)``; ``flipped`` marks the pairs given as
+    ``i > j``, whose answer is the negation of the stored "``lo`` wins".
+    Indices must lie in ``[0, 2**31)``, the range the durable store
+    keeps them in.
+    """
+    i = np.asarray(indices_i, dtype=np.int64)
+    j = np.asarray(indices_j, dtype=np.int64)
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    if len(lo) and (lo.min() < 0 or hi.max() >= _INDEX_LIMIT):
+        raise ValueError("cached pair indices must lie in [0, 2**31)")
+    return (lo << 32) | hi, i > j
 
 
 class ComparisonMemoCache:
     """Memo of settled pairwise answers, shared across jobs.
 
-    Pairs are stored unordered (``lo < hi``) with the answer normalised
-    to "``lo`` wins", so ``(3, 7)`` and ``(7, 3)`` hit the same entry.
-    ``hits`` / ``misses`` count *lookups*, giving the judgments-saved
-    numerator the benchmark and the ``cache_hit`` telemetry report.
-    The optional ``tracer`` receives ``cache_invalidated`` events (and,
-    in the durable subclass, ``cache_persisted``); it defaults to the
-    ambient tracer, a no-op unless one was activated.
+    The memo is one map per *segment* ``(fingerprint, pool,
+    judgments_per_task)``, keyed by the packed pair code
+    ``lo << 32 | hi`` (see :func:`pair_codes`) with the answer
+    normalised to "``lo`` wins", so ``(3, 7)`` and ``(7, 3)`` hit the
+    same entry.  A batch costs a few numpy and C-level calls: lookups
+    run ``map(segment.get, codes)``, stores one ``segment.update``.
+    ``hits`` / ``misses`` count *pairs looked up*, giving the
+    judgments-saved numerator the benchmark and the ``cache_hit``
+    telemetry report.  The optional ``tracer`` receives
+    ``cache_invalidated`` events (and, in the durable subclass,
+    ``cache_persisted``); it defaults to the ambient tracer, a no-op
+    unless one was activated.
     """
 
     def __init__(self, tracer: Tracer | None = None) -> None:
-        self._store: dict[_Key, bool] = {}
+        self._segments: dict[Segment, dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
         self.tracer = resolve_tracer(tracer)
@@ -86,15 +110,6 @@ class ComparisonMemoCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(
-        fingerprint: str, pool_name: str, judgments_per_task: int, i: int, j: int
-    ) -> tuple[_Key, bool]:
-        """Normalised key plus whether the pair was flipped to make it."""
-        if i <= j:
-            return (fingerprint, pool_name, judgments_per_task, i, j), False
-        return (fingerprint, pool_name, judgments_per_task, j, i), True
-
     def lookup_batch(
         self,
         fingerprint: str,
@@ -107,28 +122,23 @@ class ComparisonMemoCache:
 
         Returns ``(hit_mask, answers)``: positions where ``hit_mask``
         is ``True`` carry a valid cached answer (``True`` = first
-        element of the pair wins); the rest must be bought fresh.
-        Updates the hit/miss counters.
+        element of the pair wins); the rest must be bought fresh and
+        read ``False``.  Updates the hit/miss counters.
         """
         size = len(indices_i)
-        hit_mask = np.zeros(size, dtype=bool)
-        answers = np.zeros(size, dtype=bool)
-        for k in range(size):
-            key, flipped = self._key(
-                fingerprint,
-                pool_name,
-                judgments_per_task,
-                int(indices_i[k]),
-                int(indices_j[k]),
-            )
-            lo_wins = self._store.get(key)
-            if lo_wins is None:
-                self.misses += 1
-                continue
-            self.hits += 1
-            hit_mask[k] = True
-            answers[k] = (not lo_wins) if flipped else lo_wins
-        return hit_mask, answers
+        codes, flipped = pair_codes(indices_i, indices_j)
+        segment = self._segments.get((fingerprint, pool_name, int(judgments_per_task)))
+        if segment is None:
+            self.misses += size
+            return np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        found = np.fromiter(
+            map(segment.get, codes.tolist(), repeat(-1)), dtype=np.int8, count=size
+        )
+        hit_mask = found >= 0
+        hits = int(np.count_nonzero(hit_mask))
+        self.hits += hits
+        self.misses += size - hits
+        return hit_mask, ((found == 1) ^ flipped) & hit_mask
 
     def store_batch(
         self,
@@ -139,30 +149,31 @@ class ComparisonMemoCache:
         indices_j: np.ndarray,
         answers: np.ndarray,
     ) -> None:
-        """Record freshly bought answers (``True`` = first wins)."""
-        entries: list[tuple[_Key, bool]] = []
-        for k in range(len(indices_i)):
-            key, flipped = self._key(
-                fingerprint,
-                pool_name,
-                judgments_per_task,
-                int(indices_i[k]),
-                int(indices_j[k]),
-            )
-            first_wins = bool(answers[k])
-            lo_wins = (not first_wins) if flipped else first_wins
-            self._store[key] = lo_wins
-            entries.append((key, lo_wins))
-        self._ingest(entries)
+        """Record freshly bought answers (``True`` = first wins).
 
-    def _ingest(self, entries: list[tuple[_Key, bool]]) -> None:
-        """Hook for subclasses that mirror stores to a backing medium."""
+        A pair given twice in one batch keeps its last answer.
+        """
+        key = (fingerprint, pool_name, int(judgments_per_task))
+        codes, flipped = pair_codes(indices_i, indices_j)
+        lo_wins = np.asarray(answers, dtype=bool) ^ flipped
+        self._ingest(key, self._segments.setdefault(key, {}), codes, lo_wins)
+
+    def _ingest(
+        self,
+        key: Segment,
+        segment: dict[int, bool],
+        codes: np.ndarray,
+        lo_wins: np.ndarray,
+    ) -> None:
+        """Write normalised answers into ``segment``; subclasses that
+        mirror stores to a backing medium extend this."""
+        segment.update(zip(codes.tolist(), lo_wins.tolist()))
 
     # ------------------------------------------------------------------
     # Introspection / invalidation
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(len(segment) for segment in self._segments.values())
 
     @property
     def lookups(self) -> int:
@@ -178,7 +189,7 @@ class ComparisonMemoCache:
     def invalidate(
         self, fingerprint: str | None = None, pool_name: str | None = None
     ) -> int:
-        """Drop cached answers; returns how many entries were removed.
+        """Drop cached answers; returns how many pairs were removed.
 
         The invalidation hook for catalogs that change or pools whose
         workforce was re-calibrated: ``invalidate()`` clears everything,
@@ -188,19 +199,13 @@ class ComparisonMemoCache:
         describe traffic, not contents.  Emits one ``cache_invalidated``
         telemetry event carrying the selector and the eviction count.
         """
-        if fingerprint is None and pool_name is None:
-            removed = len(self._store)
-            self._store.clear()
-        else:
-            doomed = [
-                key
-                for key in self._store
-                if (fingerprint is None or key[0] == fingerprint)
-                and (pool_name is None or key[1] == pool_name)
-            ]
-            for key in doomed:
-                del self._store[key]
-            removed = len(doomed)
+        doomed = [
+            key
+            for key in self._segments
+            if (fingerprint is None or key[0] == fingerprint)
+            and (pool_name is None or key[1] == pool_name)
+        ]
+        removed = sum(len(self._segments.pop(key)) for key in doomed)
         if self.tracer.enabled:
             self.tracer.event(
                 "cache_invalidated",
@@ -212,7 +217,7 @@ class ComparisonMemoCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ComparisonMemoCache(entries={len(self._store)}, "
+            f"ComparisonMemoCache(entries={len(self)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
 
@@ -220,12 +225,15 @@ class ComparisonMemoCache:
 class DurableComparisonCache(ComparisonMemoCache):
     """A memo cache backed by a :class:`PersistentComparisonStore`.
 
-    Construction warm-loads every stored judgment into memory (the
-    count is kept on :attr:`warm_entries`); every ``store_batch``
-    write-through commits the new entries to SQLite in one transaction,
-    and ``invalidate`` evicts from both layers.  Lookups never touch
-    the database — the in-memory dict is always a faithful image of the
-    store, so the hot path is identical to the plain cache.
+    Construction warm-loads every stored judgment into memory through
+    the store's :meth:`~PersistentComparisonStore.load` (the count is
+    kept on :attr:`warm_entries`); every ``store_batch`` write-through
+    commits the pairs it added or changed to SQLite, one row per
+    segment in one transaction, and ``invalidate`` evicts from both
+    layers.  Pairs re-stored with the answer they already hold (journal
+    replay over a warm store) are not written again.  Lookups never
+    touch the database — the in-memory maps are always a faithful image
+    of the store, so the hot path is identical to the plain cache.
 
     The write-through is intentionally *after* the in-memory update and
     emits one ``cache_persisted`` event (plus the
@@ -241,28 +249,34 @@ class DurableComparisonCache(ComparisonMemoCache):
     ) -> None:
         super().__init__(tracer=tracer)
         self.store = store
-        self._store.update(store.load())
+        for key, (lo, hi, lo_wins) in store.load().items():
+            codes, _ = pair_codes(lo, hi)
+            self._segments[key] = dict(zip(codes.tolist(), lo_wins.tolist()))
         #: Entries warm-loaded from disk at construction.
-        self.warm_entries = len(self._store)
+        self.warm_entries = len(self)
         #: When ``True`` (set by the scheduler while journaling), the
         #: SQLite write-through is buffered and only lands at
         #: :meth:`flush_pending` — after the tick's journal group is
         #: durable.  In-memory visibility is immediate either way.
         self.deferred = False
-        self._pending_entries: list[tuple[_Key, bool]] = []
+        self._pending: dict[Segment, list[np.ndarray]] = {}
 
-    def _ingest(self, entries: list[tuple[_Key, bool]]) -> None:
-        if self.deferred:
-            self._pending_entries.extend(entries)
-            return
-        self._write_through(entries)
-
-    def _write_through(self, entries: list[tuple[_Key, bool]]) -> None:
-        written = self.store.write_entries(entries)
-        if written and self.tracer.enabled:
-            self.tracer.event("cache_persisted", entries=written)
-        if written:
-            self.tracer.count("durability.cache_persisted", written)
+    def _ingest(
+        self,
+        key: Segment,
+        segment: dict[int, bool],
+        codes: np.ndarray,
+        lo_wins: np.ndarray,
+    ) -> None:
+        known = np.fromiter(
+            map(segment.get, codes.tolist(), repeat(-1)), dtype=np.int8, count=len(codes)
+        )
+        super()._ingest(key, segment, codes, lo_wins)
+        # Every pair whose stored answer may have changed; duplicates in
+        # one batch resolve to the segment's final answer.
+        self._pending.setdefault(key, []).append(codes[known != lo_wins])
+        if not self.deferred:
+            self.flush_pending()
 
     def flush_pending(self) -> int:
         """Commit the deferred write-through; returns entries flushed.
@@ -270,10 +284,22 @@ class DurableComparisonCache(ComparisonMemoCache):
         Call only after the journal records covering these entries are
         durable — the journal-before-store ordering contract.
         """
-        entries, self._pending_entries = self._pending_entries, []
-        if entries:
-            self._write_through(entries)
-        return len(entries)
+        pending, self._pending = self._pending, {}
+        columns: dict[Segment, Columns] = {}
+        for key, parts in pending.items():
+            codes = np.concatenate(parts)
+            if not len(codes):
+                continue
+            lo_wins = np.fromiter(
+                map(self._segments[key].get, codes.tolist()), dtype=bool, count=len(codes)
+            )
+            columns[key] = (codes >> 32, codes & 0xFFFFFFFF, lo_wins)
+        written = self.store.write_entries(columns)
+        if written:
+            if self.tracer.enabled:
+                self.tracer.event("cache_persisted", entries=written)
+            self.tracer.count("durability.cache_persisted", written)
+        return written
 
     def invalidate(
         self, fingerprint: str | None = None, pool_name: str | None = None
@@ -290,6 +316,6 @@ class DurableComparisonCache(ComparisonMemoCache):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DurableComparisonCache(entries={len(self._store)}, "
+            f"DurableComparisonCache(entries={len(self)}, "
             f"warm={self.warm_entries}, path={str(self.store.path)!r})"
         )

@@ -79,12 +79,20 @@ import numpy as np
 
 from ..core.steps import OracleCall, Steps
 from ..durability import (
+    JOURNAL_FORMAT,
     DurabilityPolicy,
     JobJournal,
     JournalMismatchError,
     JournalRecord,
     PersistentComparisonStore,
 )
+from ..durability.journal import (
+    decode_flags,
+    decode_indices,
+    encode_flags,
+    encode_indices,
+)
+from ..durability.store import Segment
 from ..platform.accounting import CostLedger
 from ..platform.errors import CostCapError, DegradedBatchError
 from ..platform.faults import FaultPlan, RetryPolicy
@@ -95,7 +103,12 @@ from ..platform.platform import CrowdPlatform, FastBatchPlan, fast_model_groups
 from ..platform.workforce import WorkerPool
 from ..jobs import BudgetExceededError, CrowdJobResult, CrowdMaxJob
 from ..telemetry import NULL_TRACER, Tracer, resolve_tracer
-from .cache import ComparisonMemoCache, DurableComparisonCache, fingerprint_instance
+from .cache import (
+    ComparisonMemoCache,
+    DurableComparisonCache,
+    fingerprint_instance,
+    pair_codes,
+)
 from .errors import (
     JobCancelledError,
     SchedulerSaturatedError,
@@ -663,6 +676,9 @@ class CrowdScheduler:
         finally:
             self._reap_threads()
             if self._journal is not None:
+                # The final group holds the last jobs' ``settled`` records.
+                if self._journal.group_open:
+                    self._journal.commit_group()
                 self._journal.close()
             if self._owns_cache and isinstance(self.cache, DurableComparisonCache):
                 self.cache.close()
@@ -678,6 +694,7 @@ class CrowdScheduler:
         journal header — everything the determinism contract requires
         to be identical for replay to be exact."""
         return {
+            "format": JOURNAL_FORMAT,
             "root_entropy": str(self._seeds.entropy),
             "quantum": self.quantum,
             "fusion": self.fusion,
@@ -852,6 +869,12 @@ class CrowdScheduler:
         live = [t for t in self._tickets]
         while live:
             self._await_parked(live)
+            if self._journal is not None:
+                # One group per tick: the ``settled`` records of the jobs
+                # that finished since the last tick ride with the tick's
+                # serve records (the group after the last tick is
+                # committed by run()).
+                self._journal.begin_group()
             still_live: list[JobTicket] = []
             for ticket in live:
                 if ticket.state == "done":
@@ -881,26 +904,22 @@ class CrowdScheduler:
         *settle* — every admitted request is resolved: journal replays
         and fast-path-ineligible requests serially, everything else
         through the fused buffer (cache lookups, one fused platform
-        pass per flush, journal records framed into one group).
-        *scatter* — the tick's journal group is committed with a single
-        fsync, the deferred durable-cache writes flush behind it, and
-        every request is checked to carry an answer or an error.
+        pass per flush, journal records framed into the tick's group,
+        which is committed with a single fsync as the phase ends).
+        *scatter* — the deferred durable-cache writes flush behind the
+        committed group, and every request is checked to carry an
+        answer or an error.
         *resume* — jobs are resumed in admission order: coroutine
         tickets by sending/throwing into their generators, thread
         tickets by the wake-and-await-park handshake.
         """
-        journaling = self._journal is not None
         with self.tracer.span(
             "scheduler.tick.settle", tick=self.ticks, requests=len(admitted)
         ):
-            if journaling:
-                assert self._journal is not None
-                self._journal.begin_group()
             try:
                 self._settle_requests(admitted)
             finally:
-                if journaling:
-                    assert self._journal is not None
+                if self._journal is not None:
                     self._journal.commit_group()
         with self.tracer.span("scheduler.tick.scatter", tick=self.ticks):
             if isinstance(self.cache, DurableComparisonCache):
@@ -1004,7 +1023,7 @@ class CrowdScheduler:
         state serial service would have produced.
         """
         pending: list[_FusedPending] = []
-        pending_keys: set[tuple[str, str, int, int, int]] = set()
+        pending_keys: dict[Segment, set[int]] = {}
         for ticket in admitted:
             request = ticket.request
             assert request is not None
@@ -1051,7 +1070,7 @@ class CrowdScheduler:
                 )
             if not len(miss):
                 report = BatchReport(
-                    answers=[bool(a) for a in answers],
+                    answers=answers.tolist(),
                     physical_steps=0,
                     judgments_collected=0,
                     judgments_discarded=0,
@@ -1070,46 +1089,34 @@ class CrowdScheduler:
 
     @staticmethod
     def _add_pending_keys(
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Segment, set[int]],
         ticket: JobTicket,
         request: _CompareRequest,
         miss: np.ndarray,
     ) -> None:
-        key_of = ComparisonMemoCache._key
-        for k in miss:
-            key, _ = key_of(
-                ticket.fingerprint,
-                request.pool_name,
-                request.judgments_per_task,
-                int(request.indices_i[k]),
-                int(request.indices_j[k]),
-            )
-            pending_keys.add(key)
+        codes, _ = pair_codes(request.indices_i[miss], request.indices_j[miss])
+        segment = (ticket.fingerprint, request.pool_name, request.judgments_per_task)
+        pending_keys.setdefault(segment, set()).update(codes.tolist())
 
     @staticmethod
     def _overlaps_pending(
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Segment, set[int]],
         ticket: JobTicket,
         request: _CompareRequest,
     ) -> bool:
         """Whether any pair of ``request`` is a buffered (unstored) miss."""
-        key_of = ComparisonMemoCache._key
-        for i, j in zip(request.indices_i, request.indices_j):
-            key, _ = key_of(
-                ticket.fingerprint,
-                request.pool_name,
-                request.judgments_per_task,
-                int(i),
-                int(j),
-            )
-            if key in pending_keys:
-                return True
-        return False
+        buffered = pending_keys.get(
+            (ticket.fingerprint, request.pool_name, request.judgments_per_task)
+        )
+        if not buffered:
+            return False
+        codes, _ = pair_codes(request.indices_i, request.indices_j)
+        return not buffered.isdisjoint(codes.tolist())
 
     def _flush_fused(
         self,
         pending: list[_FusedPending],
-        pending_keys: set[tuple[str, str, int, int, int]],
+        pending_keys: dict[Segment, set[int]],
     ) -> None:
         """Settle the buffered requests in one fused platform pass.
 
@@ -1368,7 +1375,7 @@ class CrowdScheduler:
             # Every pair was served from the cache: no physical steps
             # ran and nothing was paid.
             report = BatchReport(
-                answers=[bool(a) for a in answers],
+                answers=answers.tolist(),
                 physical_steps=0,
                 judgments_collected=0,
                 judgments_discarded=0,
@@ -1404,7 +1411,8 @@ class CrowdScheduler:
         tape: list[tuple[str, int, float]],
         hits: int,
     ) -> None:
-        """Durably record one served batch (fsynced before return)."""
+        """Record one served batch in the open journal group (durable at
+        the group commit that ends the tick's settle phase)."""
         assert self._journal is not None
         touched = bool(len(miss))
         assert ticket.platform is not None
@@ -1414,11 +1422,11 @@ class CrowdScheduler:
             job_index=ticket.index,
             pool=request.pool_name,
             judgments=request.judgments_per_task,
-            indices_i=[int(v) for v in request.indices_i],
-            indices_j=[int(v) for v in request.indices_j],
-            miss=[int(v) for v in miss],
-            fresh=[bool(v) for v in fresh] if fresh is not None else [],
-            answers=[bool(v) for v in answers],
+            indices_i=encode_indices(request.indices_i),
+            indices_j=encode_indices(request.indices_j),
+            miss=encode_indices(miss),
+            fresh=encode_flags(fresh if fresh is not None else np.zeros(0, dtype=bool)),
+            answers=encode_flags(answers),
             hits=hits,
             charges=[[label, count, cost] for label, count, cost in tape],
             report=_report_to_state(report) if touched else None,
@@ -1447,17 +1455,24 @@ class CrowdScheduler:
         platform's post-batch state, and rebuilds the report the job
         originally saw.
         """
-        expectations: list[tuple[str, object, object]] = [
+        for name, recorded, actual in (
             ("pool", record["pool"], request.pool_name),
             ("judgments", record["judgments"], request.judgments_per_task),
-            ("indices_i", record["indices_i"], [int(v) for v in request.indices_i]),
-            ("indices_j", record["indices_j"], [int(v) for v in request.indices_j]),
-        ]
-        for name, recorded, actual in expectations:
+        ):
             if recorded != actual:
                 raise JournalMismatchError(f"request.{name}", recorded, actual)
-        answers = np.asarray(record["answers"], dtype=bool)
-        miss = np.asarray(record["miss"], dtype=np.intp)
+        for name, live in (
+            ("indices_i", request.indices_i),
+            ("indices_j", request.indices_j),
+        ):
+            if record[name] != encode_indices(live):
+                raise JournalMismatchError(
+                    f"request.{name}",
+                    decode_indices(record[name]).tolist(),
+                    np.asarray(live).tolist(),
+                )
+        answers = decode_flags(record["answers"], request.size)
+        miss = decode_indices(record["miss"])
         hits = int(record["hits"])
         if self.cache is not None:
             # Mirror the original lookup's traffic counters and event.
@@ -1489,11 +1504,11 @@ class CrowdScheduler:
                     request.judgments_per_task,
                     request.indices_i[miss],
                     request.indices_j[miss],
-                    np.asarray(record["fresh"], dtype=bool),
+                    decode_flags(record["fresh"], len(miss)),
                 )
         else:
             report = BatchReport(
-                answers=[bool(a) for a in answers],
+                answers=answers.tolist(),
                 physical_steps=0,
                 judgments_collected=0,
                 judgments_discarded=0,

@@ -8,7 +8,16 @@ further appends.
 
 import json
 
-from repro.durability import JobJournal
+import numpy as np
+import pytest
+
+from repro.durability import DurabilityError, JobJournal
+from repro.durability.journal import (
+    decode_flags,
+    decode_indices,
+    encode_flags,
+    encode_indices,
+)
 
 
 def fill(path, n=3):
@@ -87,3 +96,26 @@ class TestTornTail:
             journal.append("settled", seq=3)
         records = JobJournal.recover(path)
         assert [r["seq"] for r in records] == [0, 1, 2, 3]
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 100])
+    def test_round_trip(self, size):
+        rng = np.random.default_rng(size)
+        indices = rng.integers(0, 2**31 - 1, size=size)
+        flags = rng.random(size) < 0.5
+        np.testing.assert_array_equal(decode_indices(encode_indices(indices)), indices)
+        np.testing.assert_array_equal(decode_flags(encode_flags(flags), size), flags)
+
+    def test_out_of_range_index_is_refused(self):
+        with pytest.raises(ValueError):
+            encode_indices(np.array([2**31]))
+
+    @pytest.mark.parametrize("text", ["not base64!", "AAA="])
+    def test_malformed_indices_raise_typed_error(self, text):
+        with pytest.raises(DurabilityError):
+            decode_indices(text)
+
+    def test_flag_count_mismatch_raises_typed_error(self):
+        with pytest.raises(DurabilityError):
+            decode_flags(encode_flags(np.ones(9, dtype=bool)), 8)

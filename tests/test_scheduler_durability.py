@@ -14,14 +14,19 @@ The resume contract under test (see docs/DURABILITY.md):
   together.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.durability import (
+    JOURNAL_FORMAT,
     DurabilityPolicy,
     JobJournal,
     JournalMismatchError,
     PersistentComparisonStore,
 )
+from repro.durability.journal import decode_flags, decode_indices
 from repro.experiments.bench_durability import run_durable_workload
 from repro.experiments.bench_scheduler import SchedulerWorkload
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
@@ -108,6 +113,32 @@ class TestResume:
         assert fingerprints(resumed) == fingerprints(first)
         assert sched.replayed_batches == kept_serves
 
+    @pytest.mark.parametrize("settled_kept", [False, True], ids=["lost", "kept"])
+    def test_prefix_resume_at_buffered_settled_record(self, tmp_path, settled_kept):
+        """Crash points on a ``settled`` record that rode a tick's group
+        commit: lost, the job's record is appended again on resume;
+        kept, it is not duplicated.  Either way nothing is re-bought."""
+        state = tmp_path / "state"
+        first, _, _ = run_durable_workload(make_workload(), state)
+        journal_path = state / "journal.jsonl"
+        lines = journal_path.read_text().splitlines(keepends=True)
+        kinds = [r["kind"] for r in JobJournal.recover(journal_path)]
+        # The first settled record framed into a group with later serves.
+        cut = next(
+            k for k in range(len(kinds) - 1)
+            if kinds[k] == "settled" and kinds[k + 1] == "serve"
+        )
+        journal_path.write_text("".join(lines[: cut + int(settled_kept)]))
+        (state / "comparisons.sqlite3").unlink()
+        kept_serves = kinds[:cut].count("serve")
+        resumed, sched, _ = run_durable_workload(make_workload(), state)
+        assert fingerprints(resumed) == fingerprints(first)
+        assert sched.replayed_batches == kept_serves
+        settled = [
+            r["job_index"] for r in JobJournal.recover(journal_path) if r["kind"] == "settled"
+        ]
+        assert sorted(settled) == sorted(o.ticket.index for o in first)
+
     def test_resume_after_torn_tail(self, tmp_path):
         state = tmp_path / "state"
         first, _, _ = run_durable_workload(make_workload(), state)
@@ -132,12 +163,65 @@ class TestResume:
         with pytest.raises(JournalMismatchError):
             run_durable_workload(other, state)
 
+    @pytest.mark.parametrize("stamp", [None, "repro.journal/v1"], ids=["unstamped", "v1"])
+    def test_journal_rejects_other_format(self, tmp_path, stamp):
+        """A journal written the way v1 wrote it — list-valued arrays, a
+        header without a ``format`` stamp, lines framed as
+        ``json.dumps(record, sort_keys=True)`` — recovers intact but is
+        refused at the header rather than replayed, and left as it was."""
+        state = tmp_path / "state"
+        run_durable_workload(make_workload(), state)
+        journal_path = state / "journal.jsonl"
+        lines = []
+        for record in JobJournal.recover(journal_path):
+            payload = {k: v for k, v in record.items() if k != "crc"}
+            if payload["kind"] == "header":
+                payload.pop("format")
+                if stamp is not None:
+                    payload["format"] = stamp
+            elif payload["kind"] == "serve":
+                miss = decode_indices(payload["miss"])
+                for name in ("indices_i", "indices_j", "miss"):
+                    payload[name] = decode_indices(payload[name]).tolist()
+                payload["answers"] = decode_flags(
+                    payload["answers"], len(payload["indices_i"])
+                ).tolist()
+                payload["fresh"] = decode_flags(payload["fresh"], len(miss)).tolist()
+            body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            crc = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+            lines.append(json.dumps({"crc": crc, **payload}, sort_keys=True) + "\n")
+        journal_path.write_text("".join(lines))
+        assert len(JobJournal.recover(journal_path)) == len(lines)
+        written = journal_path.read_bytes()
+        with pytest.raises(JournalMismatchError) as info:
+            run_durable_workload(make_workload(), state)
+        assert info.value.field == "format"
+        assert (info.value.recorded, info.value.actual) == (stamp, JOURNAL_FORMAT)
+        assert journal_path.read_bytes() == written
+
     def test_journal_header_written_once(self, tmp_path):
         state = tmp_path / "state"
         run_durable_workload(make_workload(), state)
         run_durable_workload(make_workload(), state)
         records = JobJournal.recover(state / "journal.jsonl")
         assert sum(1 for r in records if r["kind"] == "header") == 1
+
+
+class TestGroupCommit:
+    def test_settled_records_ride_the_tick_group(self, tmp_path, monkeypatch):
+        """One fsync for the header, one per tick, and one final group
+        for the jobs that finish in the last tick — never one per job."""
+        import repro.durability.journal as journal_module
+
+        fsyncs = []
+        real_fsync = journal_module.os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+        )
+        outcomes, sched, _ = run_durable_workload(make_workload(), tmp_path / "state")
+        assert len(fsyncs) == 1 + sched.ticks + 1
+        records = JobJournal.recover(tmp_path / "state" / "journal.jsonl")
+        assert sum(r["kind"] == "settled" for r in records) == len(outcomes)
 
 
 class TestWarmCache:
