@@ -1,12 +1,11 @@
 """Scheduler throughput baseline: shared-pool multiplexing vs isolated.
 
-Runs the four-arm comparison of
+Runs the three-arm comparison of
 :mod:`repro.experiments.bench_scheduler` — each job on a private
 platform, the same jobs multiplexed by the :mod:`repro.scheduler`
-engine serially (fusion off), with fused tick settlement (both
-verified bit-identical to isolated), and fused with the cross-job
-cache on — prints the throughput/cache table, and persists
-``results/BENCH_scheduler.json``.
+engine with fused tick settlement (verified bit-identical to
+isolated), and fused with the cross-job cache on — prints the
+throughput/cache table, and persists ``results/BENCH_scheduler.json``.
 
 Run with ``pytest benchmarks/test_bench_scheduler.py -s``.
 """
@@ -24,9 +23,6 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 def test_bench_scheduler_baseline(emit):
     payload = run_scheduler_bench(seed=2015, n_jobs=8)
-    assert payload["scheduled_serial"]["identical_to_isolated"], (
-        "serial (fusion-off) scheduling diverged from isolated execution"
-    )
     fused = payload["scheduled_fused"]
     assert fused["identical_to_isolated"], (
         "fused scheduling diverged from isolated execution"

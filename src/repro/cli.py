@@ -388,14 +388,14 @@ def _run_bench(args: argparse.Namespace) -> int:
 def _run_serve_sim(args: argparse.Namespace) -> int:
     """The ``serve-sim`` subcommand: scheduler throughput benchmark.
 
-    Runs the four-arm comparison (isolated / scheduled serial /
-    scheduled fused / scheduled fused+cache), prints the throughput
-    table, and writes the ``BENCH_scheduler.json`` artifact
-    (atomically) into ``--out`` (default ``results/``).  Exits nonzero
-    when either cache-off scheduled arm diverged from isolated
-    execution, or when fused settlement failed to beat the isolated
-    baseline's throughput — the first is a correctness regression, the
-    second a perf one; either should fail the CI smoke loudly.
+    Runs the three-arm comparison (isolated / scheduled fused /
+    scheduled fused+cache), prints the throughput table, and writes
+    the ``BENCH_scheduler.json`` artifact (atomically) into ``--out``
+    (default ``results/``).  Exits nonzero when the cache-off fused arm
+    diverged from isolated execution, or when fused settlement failed
+    to beat the isolated baseline's throughput — the first is a
+    correctness regression, the second a perf one; either should fail
+    the CI smoke loudly.
     """
     payload = run_scheduler_bench(
         seed=args.seed,
@@ -407,7 +407,6 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else Path("results")
     path = write_scheduler_bench_json(payload, out / "BENCH_scheduler.json")
     print(f"(wrote {path})")
-    serial = payload["scheduled_serial"]
     fused = payload["scheduled_fused"]
     cached = payload["scheduled_cached"]
     _append_history(
@@ -417,16 +416,14 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "n_jobs": args.serve_jobs,
             "isolated_jobs_per_sec": payload["isolated"]["jobs_per_sec"],
-            "serial_jobs_per_sec": serial["jobs_per_sec"],
             "fused_jobs_per_sec": fused["jobs_per_sec"],
             "cached_jobs_per_sec": cached["jobs_per_sec"],
             "fused_identical": fused["identical_to_isolated"],
-            "serial_identical": serial["identical_to_isolated"],
             "cache_hit_rate": cached["cache_hit_rate"],
         },
     )
-    if not (serial["identical_to_isolated"] and fused["identical_to_isolated"]):
-        print("BENCH FAILED: a cache-off scheduled arm diverged from isolated")
+    if not fused["identical_to_isolated"]:
+        print("BENCH FAILED: cache-off fused scheduling diverged from isolated")
         return 1
     isolated_rate = payload["isolated"]["jobs_per_sec"]
     if (

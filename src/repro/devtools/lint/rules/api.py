@@ -1,7 +1,7 @@
 """Public-API discipline rules (``API0xx``).
 
 The stable import surface lives in :mod:`repro.api`; everything else
-(``repro.service``, ``repro.scheduler.engine``, ...) is internal
+(``repro.jobs``, ``repro.scheduler.engine``, ...) is internal
 layout that may move between releases.  Two disciplines keep that
 promise honest:
 

@@ -8,9 +8,12 @@ the ``batch_fused`` telemetry all stay consistent.  A direct
 ``compare_batch`` / ``submit_batch`` call sprinkled into scheduler code
 silently bypasses all four.
 
-The one sanctioned bypass — the ``fusion=off`` escape hatch in
-``_serve_serial`` — carries a justified same-line suppression, which
-doubles as documentation that the bypass is deliberate.
+The one sanctioned direct call — ``_buy``, the lone ``compare_batch``
+for requests the fast path cannot take (gold probes, fault plans,
+capped ledgers, fallback pools), reached from ``_settle_requests``
+after the fused buffer is flushed — carries a justified same-line
+suppression, which doubles as documentation that it is deliberate and
+keeps it the only one.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class DirectPlatformBatchRule(Rule):
         "the cross-job cache overlap check, lands outside the journal "
         "group framing, and breaks the admission-order charge "
         "discipline the bit-identity contract rests on. Route requests "
-        "through the fusion queue; the serial fusion=off escape hatch "
-        "justifies a suppression."
+        "through the fusion queue; only the lone buy for "
+        "fast-path-ineligible requests (_buy) justifies a suppression."
     )
     contexts = frozenset({"src"})
 
@@ -56,7 +59,8 @@ class DirectPlatformBatchRule(Rule):
             self.report(
                 node,
                 f".{func.attr}() called directly from scheduler code; "
-                "post the request to the fusion queue instead (or "
-                "justify a suppression for the serial escape hatch)",
+                "post the request to the fusion queue instead (only "
+                "the lone buy for fast-path-ineligible requests is "
+                "exempt)",
             )
         self.generic_visit(node)

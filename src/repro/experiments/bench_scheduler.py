@@ -10,12 +10,9 @@ conventionally stored at ``results/BENCH_scheduler.json``:
 * **isolated** — every job on its own private platform (the status
   quo before :mod:`repro.scheduler`), with the same spawned seeds the
   scheduler would assign;
-* **scheduled_serial** — the cooperative loop over shared pools with
-  batch fusion *off* (the ``fusion=off`` escape hatch): every parked
-  request settled one platform call at a time;
-* **scheduled_fused** — the same loop with fused tick settlement:
-  all fast-path-eligible requests of a tick settled in one platform
-  pass per (pool, worker-model) group.  Both scheduled arms are
+* **scheduled_fused** — the cooperative loop over shared pools with
+  fused tick settlement: all fast-path-eligible requests of a tick
+  settled in one platform pass per (pool, worker-model) group,
   verified *bit-identical* to the isolated baseline before any timing
   is reported (the determinism contract of ``docs/SCHEDULER.md``);
 * **scheduled_cached** — fused settlement plus the cross-job memo
@@ -55,7 +52,7 @@ __all__ = [
 ]
 
 #: Schema tag stamped into every BENCH_scheduler.json payload.
-SCHEDULER_BENCH_SCHEMA = "repro.bench_scheduler/v2"
+SCHEDULER_BENCH_SCHEMA = "repro.bench_scheduler/v3"
 
 #: Spawn-key salt separating catalog generation from job seeding, so a
 #: workload's instances never correlate with its scheduler streams.
@@ -174,14 +171,12 @@ def _run_scheduled(
     workload: SchedulerWorkload,
     cache: bool,
     quantum: int | None,
-    fusion: bool = True,
 ) -> tuple[dict[int, tuple[Any, ...]], CrowdScheduler]:
     scheduler = CrowdScheduler(
         workload.pools(),
         root_seed=workload.seed,
         cache=cache,
         quantum=quantum,
-        fusion=fusion,
     )
     for job in workload.jobs():
         scheduler.submit(job)
@@ -205,7 +200,7 @@ def run_scheduler_bench(
     quantum: int | None = None,
     workload: SchedulerWorkload | None = None,
 ) -> dict[str, Any]:
-    """Run all four arms and return the BENCH_scheduler payload.
+    """Run all three arms and return the BENCH_scheduler payload.
 
     The default ``quantum=None`` admits every parked request each tick
     — the regime where fusion has material to work with; a small
@@ -216,19 +211,14 @@ def run_scheduler_bench(
         workload = default_workload(seed=seed, n_jobs=n_jobs)
 
     isolated_s, isolated = _timed(lambda: _run_isolated(workload))
-    serial_s, (serial, _) = _timed(
-        lambda: _run_scheduled(workload, cache=False, quantum=quantum, fusion=False)
-    )
     fused_s, (fused, _) = _timed(
-        lambda: _run_scheduled(workload, cache=False, quantum=quantum, fusion=True)
+        lambda: _run_scheduled(workload, cache=False, quantum=quantum)
     )
     cached_s, (cached, cached_scheduler) = _timed(
-        lambda: _run_scheduled(workload, cache=True, quantum=quantum, fusion=True)
+        lambda: _run_scheduled(workload, cache=True, quantum=quantum)
     )
 
-    baseline = _job_fingerprints(isolated)
-    serial_identical = baseline == _job_fingerprints(serial)
-    fused_identical = baseline == _job_fingerprints(fused)
+    fused_identical = _job_fingerprints(isolated) == _job_fingerprints(fused)
     judgments_isolated = sum(ops for _, _, ops in isolated.values())
     judgments_cached = sum(ops for _, _, ops in cached.values())
     money_isolated = sum(cost for _, cost, _ in isolated.values())
@@ -260,11 +250,6 @@ def run_scheduler_bench(
             "jobs_per_sec": _rate(isolated_s),
             "judgments": judgments_isolated,
             "money": round(money_isolated, 2),
-        },
-        "scheduled_serial": {
-            "wall_s": round(serial_s, 6),
-            "jobs_per_sec": _rate(serial_s),
-            "identical_to_isolated": serial_identical,
         },
         "scheduled_fused": {
             "wall_s": round(fused_s, 6),
@@ -300,16 +285,13 @@ def scheduler_bench_table(payload: dict[str, Any]) -> TableResult:
         headers=["arm", "wall (s)", "jobs/s", "judgments", "money", "notes"],
     )
     isolated = payload["isolated"]
-    serial = payload["scheduled_serial"]
     fused = payload["scheduled_fused"]
     cached = payload["scheduled_cached"]
-
-    def _identity(arm: dict[str, Any]) -> str:
-        return (
-            "bit-identical to isolated"
-            if arm["identical_to_isolated"]
-            else "NOT identical to isolated"
-        )
+    identity = (
+        "bit-identical to isolated"
+        if fused["identical_to_isolated"]
+        else "NOT identical to isolated"
+    )
 
     table.add_row(
         [
@@ -323,25 +305,12 @@ def scheduler_bench_table(payload: dict[str, Any]) -> TableResult:
     )
     table.add_row(
         [
-            "scheduled (serial)",
-            serial["wall_s"],
-            serial["jobs_per_sec"],
-            isolated["judgments"],
-            isolated["money"],
-            f"fusion off; {_identity(serial)}",
-        ]
-    )
-    table.add_row(
-        [
             "scheduled (fused)",
             fused["wall_s"],
             fused["jobs_per_sec"],
             isolated["judgments"],
             isolated["money"],
-            (
-                f"{fused['speedup_vs_isolated']}x vs isolated; "
-                f"{_identity(fused)}"
-            ),
+            f"{fused['speedup_vs_isolated']}x vs isolated; {identity}",
         ]
     )
     table.add_row(
@@ -359,9 +328,9 @@ def scheduler_bench_table(payload: dict[str, Any]) -> TableResult:
         ]
     )
     table.notes.append(
-        "cache-off scheduling (serial and fused) is verified "
-        "bit-identical to isolated execution before timings are "
-        "reported; see docs/SCHEDULER.md"
+        "cache-off fused scheduling is verified bit-identical to "
+        "isolated execution before timings are reported; see "
+        "docs/SCHEDULER.md"
     )
     return table
 

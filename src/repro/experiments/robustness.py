@@ -239,7 +239,7 @@ def run_fault_sweep(
 ) -> TableResult:
     """Accuracy and cost of the two-phase job vs the abandonment rate.
 
-    Each trial runs a full :class:`~repro.service.CrowdMaxJob` through a
+    Each trial runs a full :class:`~repro.jobs.CrowdMaxJob` through a
     platform whose :class:`~repro.platform.faults.FaultPlan` abandons
     the given fraction of assignments (on top of ``base_plan``'s other
     fault rates, if provided — the CLI's ``--fault-plan``), with a

@@ -41,8 +41,7 @@ This module holds the **in-process** job layer; the HTTP serving layer
 lives in :mod:`repro.service_http` and speaks the same result shape
 over the wire — :meth:`CrowdJobResult.to_dict` /
 :meth:`CrowdJobResult.from_dict` are the stable ``repro.service/v1``
-round-trip both sides share.  (``repro.service`` remains as a
-re-export alias of this module.)
+round-trip both sides share.
 """
 
 from __future__ import annotations

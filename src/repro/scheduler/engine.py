@@ -3,20 +3,18 @@
 Section 1 positions the paper's algorithm as a primitive for host
 systems (CrowdDB and friends) that answer *many* crowd queries at once.
 This module is that serving layer for the simulator: a
-:class:`CrowdScheduler` admits many jobs — any class speaking the
-uniform ``submit()/settle()`` protocol of :mod:`repro.jobs` — and
-settles them cooperatively against **shared** worker pools, instead of
-giving each query a private platform.
+:class:`CrowdScheduler` admits many jobs — any class exposing the
+``steps()`` generator protocol of :mod:`repro.jobs` — and settles them
+cooperatively against **shared** worker pools, instead of giving each
+query a private platform.
 
 Execution model
 ---------------
 Each admitted job runs as a **coroutine ticket**: its algorithm body is
 the ``steps()`` generator of :mod:`repro.jobs`, advanced on the
 scheduler's own thread until it yields a platform-backed oracle call,
-which parks it (no thread, no lock handoff).  Jobs speaking only the
-``submit()/settle()`` protocol fall back to a thread per job with the
-classic park/wake discipline.  When every live job is parked, the
-scheduler runs one *tick* of its virtual clock:
+which parks it (no thread, no lock handoff).  When every live job is
+parked, the scheduler runs one *tick* of its virtual clock:
 
 1. **Coalesce** — the parked comparison requests are grouped per pool
    (one ``batch_coalesced`` record each), the scheduler-level view of
@@ -33,13 +31,14 @@ scheduler runs one *tick* of its virtual clock:
    the tick are decided with one vectorized call per (pool, worker
    model), then charges / counters / journal records land per tenant
    in admission order — bit-identical to serving the requests one by
-   one, but with one platform pass per tick (``fusion=False`` restores
-   one-at-a-time service).  Journaled runs frame the whole tick's
-   records into one group commit (a single fsync).
-4. **Resume** — replies are delivered in admission order: coroutine
-   tickets are advanced inline, thread tickets woken one at a time —
-   so mutations of shared worker state (gold bans) happen in one
-   deterministic order.
+   one, but with one platform pass per tick.  Requests the fast path
+   cannot take (gold probes, fault plans, capped ledgers, fallback
+   pools) are bought alone through the platform's ``compare_batch``.
+   Journaled runs frame the whole tick's records into one group commit
+   (a single fsync).
+4. **Resume** — replies are delivered in admission order, each
+   ticket's generator advanced inline — so mutations of shared worker
+   state (gold bans) happen in one deterministic order.
 
 The three tick phases are timed separately (``scheduler.tick.settle``
 / ``scheduler.tick.scatter`` / ``scheduler.tick.resume`` spans).
@@ -69,11 +68,10 @@ See ``docs/SCHEDULER.md`` for the full contract and worked examples.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from typing import Any, Literal
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Literal
 
 import numpy as np
 
@@ -109,18 +107,9 @@ from .cache import (
     fingerprint_instance,
     pair_codes,
 )
-from .errors import (
-    JobCancelledError,
-    SchedulerSaturatedError,
-    SchedulerThreadLeakWarning,
-)
+from .errors import JobCancelledError, SchedulerSaturatedError
 
 __all__ = ["JobTicket", "JobOutcome", "CrowdScheduler"]
-
-#: How long the scheduler waits for job threads to park before
-#: declaring the loop stalled.  Cooperative handoffs complete in
-#: microseconds; this only fires if a job thread dies uncooperatively.
-_STALL_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -226,9 +215,20 @@ def _report_from_state(state: dict[str, Any]) -> BatchReport:
     )
 
 
+def _all_hit_report(answers: np.ndarray) -> BatchReport:
+    """The report of a batch answered wholly from the cache: no
+    physical steps ran and nothing was paid."""
+    return BatchReport(
+        answers=answers.tolist(),
+        physical_steps=0,
+        judgments_collected=0,
+        judgments_discarded=0,
+    )
+
+
 @dataclass
 class _CompareRequest:
-    """One parked ``compare_batch`` call awaiting scheduler service."""
+    """One parked oracle call awaiting scheduler service."""
 
     pool_name: str
     indices_i: np.ndarray
@@ -236,12 +236,10 @@ class _CompareRequest:
     values_i: np.ndarray
     values_j: np.ndarray
     judgments_per_task: int
-    #: ``strict`` mirrors the worker model's flag for coroutine tickets:
-    #: the scheduler raises ``DegradedBatchError`` at resume time where
-    #: ``PlatformWorkerModel.decide`` would have (thread tickets keep
-    #: raising inside ``decide`` itself).
+    #: ``strict`` mirrors the worker model's flag: the scheduler raises
+    #: ``DegradedBatchError`` at resume time where
+    #: ``PlatformWorkerModel.decide`` would have.
     strict: bool = False
-    done: threading.Event = field(default_factory=threading.Event)
     answers: np.ndarray | None = None
     report: BatchReport | None = None
     error: BaseException | None = None
@@ -252,8 +250,8 @@ class _CompareRequest:
 
 
 @dataclass
-class _FusedPending:
-    """One fused-eligible request buffered for the next flush."""
+class _Lookup:
+    """One admitted request after its cache lookup."""
 
     ticket: "JobTicket"
     request: _CompareRequest
@@ -269,14 +267,11 @@ class _TenantPlatform(CrowdPlatform):
 
     Shares the scheduler's :class:`WorkerPool` objects (and gold/fault
     policies) but owns a private RNG stream and a chained per-job
-    ledger.  ``compare_batch`` does not execute — it parks the request
-    with the scheduler and blocks until the reply arrives, which is the
-    entire interleaving mechanism.
+    ledger.  Its platform traffic arrives as the job's yielded
+    ``OracleCall`` steps, which the scheduler parks and settles at the
+    next tick — the entire interleaving mechanism — so a synchronous
+    ``compare_batch`` is refused.
     """
-
-    def __init__(self, ticket: "JobTicket", **kwargs: Any):
-        super().__init__(**kwargs)
-        self._ticket = ticket
 
     def compare_batch(
         self,
@@ -287,25 +282,12 @@ class _TenantPlatform(CrowdPlatform):
         values_j: np.ndarray,
         judgments_per_task: int = 1,
     ) -> tuple[np.ndarray, BatchReport]:
-        self._pool(pool_name)  # fail fast on unknown pools, as the base does
-        if self._ticket._gen is not None:
-            # A coroutine ticket's platform traffic flows through its
-            # yielded OracleCall steps; a synchronous call from inside
-            # the generator would deadlock the single scheduler thread,
-            # so refuse it loudly instead.
-            raise RuntimeError(
-                "synchronous compare_batch from a coroutine job; platform "
-                "calls must be yielded as OracleCall steps"
-            )
-        request = _CompareRequest(
-            pool_name=pool_name,
-            indices_i=np.asarray(indices_i),
-            indices_j=np.asarray(indices_j),
-            values_i=np.asarray(values_i),
-            values_j=np.asarray(values_j),
-            judgments_per_task=judgments_per_task,
+        # A synchronous call would run on the single scheduler thread,
+        # outside the tick, the cache and the journal; refuse it loudly.
+        raise RuntimeError(
+            "synchronous compare_batch from a coroutine job; platform "
+            "calls must be yielded as OracleCall steps"
         )
-        return self._ticket._await_service(request)
 
 
 class JobTicket:
@@ -322,7 +304,6 @@ class JobTicket:
         job: CrowdMaxJob,
         tenant: str,
         seed: np.random.SeedSequence,
-        scheduler: "CrowdScheduler",
     ):
         self.index = index
         self.job = job
@@ -336,62 +317,19 @@ class JobTicket:
         self.outcome: JobOutcome | None = None
         #: Tasks served per pool, the fair-share bookkeeping.
         self.served: dict[str, int] = {}
-        self._scheduler = scheduler
         self.tracer: Tracer = NULL_TRACER
         self.platform: _TenantPlatform | None = None
-        #: Thread tickets only (jobs without a ``steps()`` generator);
-        #: coroutine tickets never start a thread.
-        self._thread: threading.Thread | None = None
-        #: The coroutine ticket's suspended step generator; ``None``
-        #: for thread tickets.
+        #: The job's suspended step generator.
         self._gen: Steps[CrowdJobResult] | None = None
         #: The request being settled this tick (popped from
         #: :attr:`request` at settle, delivered back at resume).
         self._inflight: _CompareRequest | None = None
-        #: "ready" | "running" | "blocked" | "done", guarded by the
-        #: scheduler condition.
+        #: "ready" | "running" | "blocked" | "done".
         self.state: str = "ready"
         self.request: _CompareRequest | None = None
         self._result: CrowdJobResult | None = None
         self._error: BaseException | None = None
 
-    # ------------------------------------------------------------------
-    # Job-thread side
-    # ------------------------------------------------------------------
-    def _await_service(
-        self, request: _CompareRequest
-    ) -> tuple[np.ndarray, BatchReport]:
-        """Park this thread until the scheduler serves ``request``."""
-        cond = self._scheduler._cond
-        with cond:
-            self.request = request
-            self.state = "blocked"
-            cond.notify_all()
-        request.done.wait()
-        if request.error is not None:
-            raise request.error
-        assert request.answers is not None and request.report is not None
-        return request.answers, request.report
-
-    def _run(self) -> None:
-        """Thread body: settle the job, capture the outcome, park."""
-        try:
-            assert self.platform is not None
-            self._result = self.job.submit(
-                self.platform, self.rng, tracer=self.tracer
-            ).settle()
-        except BaseException as exc:  # repro-lint: disable=ERR003 -- outcome capture; re-raised on the ticket
-            self._error = exc
-        finally:
-            cond = self._scheduler._cond
-            with cond:
-                self.state = "done"
-                self.request = None
-                cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # Cancellation (host-facing)
-    # ------------------------------------------------------------------
     def cancel(self) -> None:
         """Request cooperative cancellation of this job.
 
@@ -443,6 +381,11 @@ class JobOutcome:
 
 class CrowdScheduler:
     """Deterministic cooperative multi-job scheduler over shared pools.
+
+    Every admitted job runs as a coroutine over its ``steps()``
+    generator; each tick settles the parked requests through one path
+    (replay, cache lookup, then a fused platform pass — or a lone
+    ``compare_batch`` buy for requests the fast path cannot take).
 
     Parameters
     ----------
@@ -499,13 +442,6 @@ class CrowdScheduler:
         live, bit-identical to an uninterrupted run.  Requires
         stateless pools for exactness: gold bans mutate shared workers
         and are not reconstructed (a warning says so).
-    fusion:
-        ``True`` (default) settles all fast-path-eligible requests of a
-        tick in one fused platform pass — per-tenant Philox plans, one
-        vectorized decide per (pool, worker model) — bit-identical to
-        serving them one by one.  ``False`` is the escape hatch: every
-        request is served alone through the full ``compare_batch``
-        machinery, the pre-fusion behaviour.
     """
 
     def __init__(
@@ -522,7 +458,6 @@ class CrowdScheduler:
         tenant_ledgers: dict[str, CostLedger] | None = None,
         tracer: Tracer | None = None,
         durability: DurabilityPolicy | None = None,
-        fusion: bool = True,
     ):
         if not pools:
             raise ValueError("the scheduler needs at least one worker pool")
@@ -565,7 +500,6 @@ class CrowdScheduler:
                 stacklevel=2,
             )
         self.quantum = quantum
-        self.fusion = bool(fusion)
         self.max_pending = max_pending
         # The injected dict (when given) is used *as* the store, not
         # copied: lazily-created ledgers land in it, so the host sees
@@ -575,7 +509,6 @@ class CrowdScheduler:
         )
         self._tenant_caps = dict(tenant_caps or {})
         self._tickets: list[JobTicket] = []
-        self._cond = threading.Condition()
         self._started = False
         self.ticks = 0
         self._journal: JobJournal | None = None
@@ -604,12 +537,13 @@ class CrowdScheduler:
     ) -> JobTicket:
         """Admit one job; returns its ticket (outcome set after run()).
 
-        Raises :class:`SchedulerSaturatedError` when the bounded queue
-        is full and ``RuntimeError`` after :meth:`run` has started —
-        the job set must be fixed before the clock starts so admission
-        order (and therefore seeding) is unambiguous.  Backpressure is
-        checked *before* any seed is spawned, so a refused submission
-        leaves the root seed tree untouched.
+        Raises ``TypeError`` for a job without a callable ``steps()``,
+        :class:`SchedulerSaturatedError` when the bounded queue is full
+        and ``RuntimeError`` after :meth:`run` has started — the job
+        set must be fixed before the clock starts so admission order
+        (and therefore seeding) is unambiguous.  Every refusal happens
+        *before* any seed is spawned, so a refused submission leaves
+        the root seed tree untouched.
 
         ``seed`` pins the ticket's randomness explicitly instead of
         spawning it from the scheduler's root: the ticket splits it
@@ -621,6 +555,11 @@ class CrowdScheduler:
         """
         if self._started:
             raise RuntimeError("cannot submit after run() has started")
+        if not callable(getattr(job, "steps", None)):
+            raise TypeError(
+                f"{type(job).__name__} has no steps() generator; the scheduler "
+                "runs jobs only as coroutines over steps()"
+            )
         if len(self._tickets) >= self.max_pending:
             raise SchedulerSaturatedError(
                 capacity=self.max_pending, pending=len(self._tickets)
@@ -636,7 +575,6 @@ class CrowdScheduler:
             job=job,
             tenant=tenant,
             seed=seed_seq,
-            scheduler=self,
         )
         self._tickets.append(ticket)
         return ticket
@@ -664,9 +602,9 @@ class CrowdScheduler:
         if self._started:
             raise RuntimeError("run() can only be called once per scheduler")
         self._started = True
-        self._open_journal()
         outcomes: list[JobOutcome] = []
         try:
+            self._open_journal()
             with self.tracer.span(
                 "scheduler.run", jobs=len(self._tickets), pools=sorted(self.pools)
             ):
@@ -674,7 +612,6 @@ class CrowdScheduler:
                     self._launch(ticket)
                 self._loop(outcomes)
         finally:
-            self._reap_threads()
             if self._journal is not None:
                 # The final group holds the last jobs' ``settled`` records.
                 if self._journal.group_open:
@@ -697,7 +634,6 @@ class CrowdScheduler:
             "format": JOURNAL_FORMAT,
             "root_entropy": str(self._seeds.entropy),
             "quantum": self.quantum,
-            "fusion": self.fusion,
             "cache": self.cache is not None,
             "pools": sorted(self.pools),
             "jobs": [
@@ -741,15 +677,12 @@ class CrowdScheduler:
     def _launch(self, ticket: JobTicket) -> None:
         """Build the tenant view, emit admission, start the job.
 
-        Jobs that expose the ``steps()`` generator protocol run as
-        coroutine tickets on the scheduler's own thread: the generator
-        is advanced to its first platform call right here, in admission
-        order.  Jobs speaking only ``submit()/settle()`` fall back to
-        the thread-per-job park/wake discipline.
+        The job's ``steps()`` generator is advanced to its first
+        platform call right here, on the scheduler's own thread, in
+        admission order.
         """
         ticket.tracer = Tracer(buffer=True) if self.tracer.enabled else NULL_TRACER
         ticket.platform = _TenantPlatform(
-            ticket,
             pools=self.pools,
             rng=ticket._platform_rng,
             ledger=_ChainedLedger(parent=self.tenant_ledger(ticket.tenant)),
@@ -774,16 +707,8 @@ class CrowdScheduler:
                 tenant=ticket.tenant,
                 fingerprint=ticket.fingerprint[:12],
             )
-        if callable(getattr(ticket.job, "steps", None)):
-            ticket.state = "running"
-            self._start(ticket)
-            return
-        ticket._thread = threading.Thread(
-            target=ticket._run, name=f"crowd-job-{ticket.index}", daemon=True
-        )
-        with self._cond:
-            ticket.state = "running"
-        ticket._thread.start()
+        ticket.state = "running"
+        self._start(ticket)
 
     # ------------------------------------------------------------------
     # Coroutine tickets
@@ -868,7 +793,6 @@ class CrowdScheduler:
     def _loop(self, outcomes: list[JobOutcome]) -> None:
         live = [t for t in self._tickets]
         while live:
-            self._await_parked(live)
             if self._journal is not None:
                 # One group per tick: the ``settled`` records of the jobs
                 # that finished since the last tick ride with the tick's
@@ -902,16 +826,15 @@ class CrowdScheduler:
         """One tick's worth of service, in three timed phases.
 
         *settle* — every admitted request is resolved: journal replays
-        and fast-path-ineligible requests serially, everything else
+        and fast-path-ineligible requests alone, everything else
         through the fused buffer (cache lookups, one fused platform
         pass per flush, journal records framed into the tick's group,
         which is committed with a single fsync as the phase ends).
         *scatter* — the deferred durable-cache writes flush behind the
         committed group, and every request is checked to carry an
         answer or an error.
-        *resume* — jobs are resumed in admission order: coroutine
-        tickets by sending/throwing into their generators, thread
-        tickets by the wake-and-await-park handshake.
+        *resume* — jobs are resumed in admission order by sending or
+        throwing into their generators.
         """
         with self.tracer.span(
             "scheduler.tick.settle", tick=self.ticks, requests=len(admitted)
@@ -930,35 +853,6 @@ class CrowdScheduler:
                 assert request.error is not None or request.answers is not None
         with self.tracer.span("scheduler.tick.resume", tick=self.ticks):
             self._resume(admitted)
-
-    def _await_parked(self, live: list[JobTicket]) -> None:
-        """Block until every live job thread is parked (blocked/done)."""
-        if all(t._thread is None for t in live):
-            # Coroutine tickets park synchronously on the scheduler's
-            # own thread; there is nothing to wait for.
-            return
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: all(t.state in ("blocked", "done") for t in live),
-                timeout=_STALL_TIMEOUT_S,
-            )
-        if not ok:
-            raise RuntimeError(
-                "scheduler stalled: a job thread stopped cooperating "
-                f"(states: {[t.state for t in live]})"
-            )
-
-    def _await_ticket_parked(self, ticket: JobTicket) -> None:
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: ticket.state in ("blocked", "done"),
-                timeout=_STALL_TIMEOUT_S,
-            )
-        if not ok:
-            raise RuntimeError(
-                f"scheduler stalled waiting on job {ticket.index} "
-                f"(state: {ticket.state})"
-            )
 
     # ------------------------------------------------------------------
     # Admission control (fair share)
@@ -1016,17 +910,18 @@ class CrowdScheduler:
         Walks the admitted tickets in admission order.  Journal replays
         and requests the platform fast path cannot take are served
         alone — but only after the fused buffer is flushed, so the
-        relative order of platform effects matches serial service.
-        Fused-eligible requests are looked up in the cache and their
-        misses buffered; a request whose pairs overlap a buffered miss
-        forces a flush first, so its lookup sees exactly the store
-        state serial service would have produced.
+        relative order of platform effects, journal records and trace
+        events matches one-at-a-time service.  Fused-eligible requests
+        are looked up in the cache and their misses buffered; a request
+        whose pairs overlap a buffered miss forces a flush first, so its
+        lookup sees exactly the store state one-at-a-time service would
+        have produced.
         """
-        pending: list[_FusedPending] = []
+        pending: list[_Lookup] = []
         pending_keys: dict[Segment, set[int]] = {}
         for ticket in admitted:
             request = ticket.request
-            assert request is not None
+            assert request is not None and ticket.platform is not None
             ticket.request = None
             ticket._inflight = request
             queue = self._replay.get(ticket.index)
@@ -1034,68 +929,56 @@ class CrowdScheduler:
                 self._flush_fused(pending, pending_keys)
                 self._replay_serve(ticket, request, queue.popleft())
                 continue
-            assert ticket.platform is not None
-            if not (
-                self.fusion
-                and ticket.platform.fast_path_eligible(
-                    request.pool_name, request.judgments_per_task
-                )
+            fusable = ticket.platform.fast_path_eligible(
+                request.pool_name, request.judgments_per_task
+            )
+            if not fusable or (
+                pending_keys and self._overlaps_pending(pending_keys, ticket, request)
             ):
                 self._flush_fused(pending, pending_keys)
-                self._serve_serial(ticket, request)
-                continue
-            if pending_keys and self._overlaps_pending(pending_keys, ticket, request):
-                self._flush_fused(pending, pending_keys)
-            answers = np.zeros(request.size, dtype=bool)
-            if self.cache is not None:
-                hit_mask, cached = self.cache.lookup_batch(
-                    ticket.fingerprint,
-                    request.pool_name,
-                    request.judgments_per_task,
-                    request.indices_i,
-                    request.indices_j,
-                )
-                answers[hit_mask] = cached[hit_mask]
+            lookup = self._lookup(ticket, request)
+            if not len(lookup.miss):
+                self._record_serve(lookup)
+            elif not fusable:
+                self._buy(lookup)
             else:
-                hit_mask = np.zeros(request.size, dtype=bool)
-            miss = np.flatnonzero(~hit_mask)
-            hits = int(request.size - len(miss))
-            if self.tracer.enabled and hits:
-                self.tracer.event(
-                    "cache_hit",
-                    job_index=ticket.index,
-                    pool=request.pool_name,
-                    hits=hits,
-                    misses=len(miss),
-                )
-            if not len(miss):
-                report = BatchReport(
-                    answers=answers.tolist(),
-                    physical_steps=0,
-                    judgments_collected=0,
-                    judgments_discarded=0,
-                )
-                if self._journal is not None:
-                    self._journal_serve(
-                        ticket, request, miss, None, answers, report, [], hits
-                    )
-                request.answers = answers
-                request.report = report
-                continue
-            pending.append(_FusedPending(ticket, request, miss, answers, hits))
-            if self.cache is not None:
-                self._add_pending_keys(pending_keys, ticket, request, miss)
+                pending.append(lookup)
+                if self.cache is not None:
+                    self._add_pending_keys(pending_keys, lookup)
         self._flush_fused(pending, pending_keys)
+
+    def _lookup(self, ticket: JobTicket, request: _CompareRequest) -> _Lookup:
+        """Answer what the cache can of ``request``; the rest are misses."""
+        answers = np.zeros(request.size, dtype=bool)
+        if self.cache is None:
+            return _Lookup(ticket, request, np.arange(request.size), answers, 0)
+        hit_mask, cached = self.cache.lookup_batch(
+            ticket.fingerprint,
+            request.pool_name,
+            request.judgments_per_task,
+            request.indices_i,
+            request.indices_j,
+        )
+        answers[hit_mask] = cached[hit_mask]
+        miss = np.flatnonzero(~hit_mask)
+        hits = int(request.size - len(miss))
+        if self.tracer.enabled and hits:
+            self.tracer.event(
+                "cache_hit",
+                job_index=ticket.index,
+                pool=request.pool_name,
+                hits=hits,
+                misses=len(miss),
+            )
+        return _Lookup(ticket, request, miss, answers, hits)
 
     @staticmethod
     def _add_pending_keys(
-        pending_keys: dict[Segment, set[int]],
-        ticket: JobTicket,
-        request: _CompareRequest,
-        miss: np.ndarray,
+        pending_keys: dict[Segment, set[int]], lookup: _Lookup
     ) -> None:
+        request, miss = lookup.request, lookup.miss
         codes, _ = pair_codes(request.indices_i[miss], request.indices_j[miss])
-        segment = (ticket.fingerprint, request.pool_name, request.judgments_per_task)
+        segment = (lookup.ticket.fingerprint, request.pool_name, request.judgments_per_task)
         pending_keys.setdefault(segment, set()).update(codes.tolist())
 
     @staticmethod
@@ -1115,7 +998,7 @@ class CrowdScheduler:
 
     def _flush_fused(
         self,
-        pending: list[_FusedPending],
+        pending: list[_Lookup],
         pending_keys: dict[Segment, set[int]],
     ) -> None:
         """Settle the buffered requests in one fused platform pass.
@@ -1160,43 +1043,12 @@ class CrowdScheduler:
             )
             pools.append(pool)
         raws = self._fused_decide(pools, plans)
-        journaling = self._journal is not None
-        for k, p in enumerate(pending):
-            ticket, request = p.ticket, p.request
-            assert ticket.platform is not None
-            ledger = ticket.platform.ledger
-            tape: list[tuple[str, int, float]] = []
-            if journaling and isinstance(ledger, _ChainedLedger):
-                ledger.tape = tape
-            try:
-                fresh, report = ticket.platform.fast_batch_finalize(
-                    pools[k], plans[k], raws[k]
-                )
-            except BaseException as exc:  # repro-lint: disable=ERR003 -- tunnelled to (and re-raised in) the job at its yield point
-                # Not journaled: a failed settle settles nothing.  On
-                # resume the re-run reaches this batch live (with the
-                # restored state) and fails identically.
-                request.error = exc
-                continue
-            finally:
-                if journaling and isinstance(ledger, _ChainedLedger):
-                    ledger.tape = None
-            p.answers[p.miss] = fresh
-            request.answers = p.answers
-            request.report = report
-            if journaling:
-                self._journal_serve(
-                    ticket, request, p.miss, fresh, p.answers, report, tape, p.hits
-                )
-            if self.cache is not None:
-                self.cache.store_batch(
-                    ticket.fingerprint,
-                    request.pool_name,
-                    request.judgments_per_task,
-                    request.indices_i[p.miss],
-                    request.indices_j[p.miss],
-                    fresh,
-                )
+        for p, pool, plan, raw in zip(pending, pools, plans, raws):
+            platform = p.ticket.platform
+            assert platform is not None
+            self._settle_bought(
+                p, lambda: platform.fast_batch_finalize(pool, plan, raw)
+            )
         if self.tracer.enabled:
             self.tracer.event(
                 "batch_fused",
@@ -1281,10 +1133,8 @@ class CrowdScheduler:
 
     def _resume(self, admitted: list[JobTicket]) -> None:
         """Deliver every settled request back to its job, in admission
-        order: coroutine tickets are advanced inline (send / throw at
-        the generator's yield point), thread tickets keep the strict
-        wake-then-await-park handshake so shared-state mutations stay
-        serial."""
+        order, by sending (or throwing) into the generator at its yield
+        point."""
         for ticket in admitted:
             request = ticket._inflight
             assert request is not None
@@ -1295,10 +1145,6 @@ class CrowdScheduler:
                 # typed cancel error (the charges stand — ledgers are
                 # authoritative; see JobTicket.cancel).
                 request.error = JobCancelledError(ticket.index)
-            if ticket._gen is None:
-                self._wake(ticket, request)
-                self._await_ticket_parked(ticket)
-                continue
             ticket.state = "running"
             if request.error is not None:
                 self._advance(ticket, "throw", request.error)
@@ -1312,83 +1158,106 @@ class CrowdScheduler:
             else:
                 self._advance(ticket, "send", request.answers)
 
-    def _serve_serial(self, ticket: JobTicket, request: _CompareRequest) -> None:
-        """Resolve one request alone (journal / cache / platform).
+    def _buy(self, lookup: _Lookup) -> None:
+        """Buy one request's misses alone through ``compare_batch``.
 
-        The ``fusion=off`` escape hatch and the catch-all for requests
-        the fast path cannot settle (gold probes armed, active fault
-        plans, capped private ledgers, fallback pools): the full
-        ``compare_batch`` machinery runs with the job's own RNG stream,
-        ledger, and fault plan, exactly as before fusion existed.
+        The route for requests the fast path cannot settle (gold probes
+        armed, active fault plans, capped private ledgers, fallback
+        pools): the platform's full step loop runs with the job's own
+        RNG stream, ledger, and fault plan.
         """
-        answers = np.zeros(request.size, dtype=bool)
-        report: BatchReport | None = None
-        if self.cache is not None:
-            hit_mask, cached = self.cache.lookup_batch(
-                ticket.fingerprint,
+        platform, request, miss = lookup.ticket.platform, lookup.request, lookup.miss
+        assert platform is not None
+        self._settle_bought(
+            lookup,
+            lambda: CrowdPlatform.compare_batch(  # repro-lint: disable=SCH001 -- the lone buy for fast-path-ineligible requests
+                platform,
                 request.pool_name,
-                request.judgments_per_task,
-                request.indices_i,
-                request.indices_j,
-            )
-            answers[hit_mask] = cached[hit_mask]
-        else:
-            hit_mask = np.zeros(request.size, dtype=bool)
-        miss = np.flatnonzero(~hit_mask)
-        hits = int(request.size - len(miss))
-        if self.tracer.enabled and hits:
-            self.tracer.event(
-                "cache_hit",
+                request.indices_i[miss],
+                request.indices_j[miss],
+                request.values_i[miss],
+                request.values_j[miss],
+                judgments_per_task=request.judgments_per_task,
+            ),
+        )
+
+    def _settle_bought(
+        self, lookup: _Lookup, buy: Callable[[], tuple[np.ndarray, BatchReport]]
+    ) -> None:
+        """Buy ``lookup``'s misses with ``buy`` and record the serve.
+
+        The job's ledger tapes its charges for the journal while ``buy``
+        runs.  A ``buy`` that raises (a budget cap) hands the error to
+        the job and is not journaled: a failed settle settles nothing,
+        so on resume the re-run reaches this batch live (with the
+        restored state) and fails identically.
+        """
+        assert lookup.ticket.platform is not None
+        ledger = lookup.ticket.platform.ledger
+        tape: list[tuple[str, int, float]] = []
+        if self._journal is not None and isinstance(ledger, _ChainedLedger):
+            ledger.tape = tape
+        try:
+            fresh, report = buy()
+        except BaseException as exc:  # repro-lint: disable=ERR003 -- tunnelled to (and re-raised in) the job at its yield point
+            lookup.request.error = exc
+            return
+        finally:
+            if isinstance(ledger, _ChainedLedger):
+                ledger.tape = None
+        lookup.answers[lookup.miss] = fresh
+        self._record_serve(lookup, fresh, report, tape)
+
+    def _record_serve(
+        self,
+        lookup: _Lookup,
+        fresh: np.ndarray | None = None,
+        report: BatchReport | None = None,
+        tape: list[tuple[str, int, float]] | None = None,
+    ) -> None:
+        """Journal one served request, then store its fresh judgments.
+
+        Without ``fresh`` every pair was a cache hit.  Ordering
+        discipline: the journal record (durable at the group commit
+        that ends the tick's settle phase) must precede the durable
+        cache's commit of these judgments, so the store can never hold
+        an entry whose journal record was lost to a crash (which would
+        flip a miss to a hit on resume and break ledger parity).
+        """
+        ticket, request, miss = lookup.ticket, lookup.request, lookup.miss
+        if report is None:
+            report = _all_hit_report(lookup.answers)
+        if self._journal is not None:
+            touched = bool(len(miss))
+            assert ticket.platform is not None
+            record = self._journal.append(
+                "serve",
+                seq=self._journal_seq,
                 job_index=ticket.index,
                 pool=request.pool_name,
-                hits=hits,
-                misses=len(miss),
+                judgments=request.judgments_per_task,
+                indices_i=encode_indices(request.indices_i),
+                indices_j=encode_indices(request.indices_j),
+                miss=encode_indices(miss),
+                fresh=encode_flags(fresh if fresh is not None else np.zeros(0, dtype=bool)),
+                answers=encode_flags(lookup.answers),
+                hits=lookup.hits,
+                charges=[[label, count, cost] for label, count, cost in tape or []],
+                report=_report_to_state(report) if touched else None,
+                platform=_capture_platform_state(ticket.platform) if touched else None,
             )
-        fresh: np.ndarray | None = None
-        tape: list[tuple[str, int, float]] = []
-        if len(miss):
-            assert ticket.platform is not None
-            ledger = ticket.platform.ledger
-            if self._journal is not None and isinstance(ledger, _ChainedLedger):
-                ledger.tape = tape
-            try:
-                fresh, report = CrowdPlatform.compare_batch(  # repro-lint: disable=SCH001 -- the sanctioned fusion=off escape hatch
-                    ticket.platform,
-                    request.pool_name,
-                    request.indices_i[miss],
-                    request.indices_j[miss],
-                    request.values_i[miss],
-                    request.values_j[miss],
-                    judgments_per_task=request.judgments_per_task,
+            self._journal_seq += 1
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "journal_append",
+                    job_index=ticket.index,
+                    pool=request.pool_name,
+                    seq=record["seq"],
+                    tasks=request.size,
+                    misses=len(miss),
                 )
-            except BaseException as exc:  # repro-lint: disable=ERR003 -- tunnelled to (and re-raised in) the job
-                # Not journaled: a failed serve settles nothing.  On
-                # resume the re-run reaches this serve live (with the
-                # restored RNG/ledger state) and fails identically.
-                request.error = exc
-                return
-            finally:
-                if self._journal is not None and isinstance(ledger, _ChainedLedger):
-                    ledger.tape = None
-            answers[miss] = fresh
-        if report is None:
-            # Every pair was served from the cache: no physical steps
-            # ran and nothing was paid.
-            report = BatchReport(
-                answers=answers.tolist(),
-                physical_steps=0,
-                judgments_collected=0,
-                judgments_discarded=0,
-            )
-        # Ordering discipline: the journal record must be durable
-        # *before* the durable cache commits these judgments, so the
-        # store can never hold an entry whose journal record was lost
-        # to a crash (which would flip a miss to a hit on resume and
-        # break ledger parity).
-        if self._journal is not None:
-            self._journal_serve(ticket, request, miss, fresh, answers, report, tape, hits)
-        if self.cache is not None and len(miss):
-            assert fresh is not None
+            self.tracer.count("durability.journal_appends")
+        if self.cache is not None and fresh is not None:
             self.cache.store_batch(
                 ticket.fingerprint,
                 request.pool_name,
@@ -1397,52 +1266,8 @@ class CrowdScheduler:
                 request.indices_j[miss],
                 fresh,
             )
-        request.answers = answers
+        request.answers = lookup.answers
         request.report = report
-
-    def _journal_serve(
-        self,
-        ticket: JobTicket,
-        request: _CompareRequest,
-        miss: np.ndarray,
-        fresh: np.ndarray | None,
-        answers: np.ndarray,
-        report: BatchReport,
-        tape: list[tuple[str, int, float]],
-        hits: int,
-    ) -> None:
-        """Record one served batch in the open journal group (durable at
-        the group commit that ends the tick's settle phase)."""
-        assert self._journal is not None
-        touched = bool(len(miss))
-        assert ticket.platform is not None
-        record = self._journal.append(
-            "serve",
-            seq=self._journal_seq,
-            job_index=ticket.index,
-            pool=request.pool_name,
-            judgments=request.judgments_per_task,
-            indices_i=encode_indices(request.indices_i),
-            indices_j=encode_indices(request.indices_j),
-            miss=encode_indices(miss),
-            fresh=encode_flags(fresh if fresh is not None else np.zeros(0, dtype=bool)),
-            answers=encode_flags(answers),
-            hits=hits,
-            charges=[[label, count, cost] for label, count, cost in tape],
-            report=_report_to_state(report) if touched else None,
-            platform=_capture_platform_state(ticket.platform) if touched else None,
-        )
-        self._journal_seq += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "journal_append",
-                job_index=ticket.index,
-                pool=request.pool_name,
-                seq=record["seq"],
-                tasks=request.size,
-                misses=len(miss),
-            )
-        self.tracer.count("durability.journal_appends")
 
     def _replay_serve(
         self, ticket: JobTicket, request: _CompareRequest, record: JournalRecord
@@ -1507,12 +1332,7 @@ class CrowdScheduler:
                     decode_flags(record["fresh"], len(miss)),
                 )
         else:
-            report = BatchReport(
-                answers=answers.tolist(),
-                physical_steps=0,
-                judgments_collected=0,
-                judgments_discarded=0,
-            )
+            report = _all_hit_report(answers)
         self.replayed_batches += 1
         if self.tracer.enabled:
             self.tracer.event(
@@ -1527,58 +1347,10 @@ class CrowdScheduler:
         request.answers = answers
         request.report = report
 
-    def _wake(self, ticket: JobTicket, request: _CompareRequest) -> None:
-        with self._cond:
-            ticket.state = "running"
-        request.done.set()
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    #: How long the shutdown reaper waits for a woken job thread to
-    #: exit before declaring it leaked.  A class attribute so tests can
-    #: shrink the grace period.
-    _REAP_TIMEOUT_S = 1.0
-
-    def _reap_threads(self) -> None:
-        """Join surviving job threads on the way out of :meth:`run`.
-
-        On a clean run every thread has already exited; this only has
-        work when the loop was torn down mid-flight (a journal
-        mismatch, a stalled peer, an interrupt) with thread tickets
-        still parked on unserved requests.  Each one is failed with a
-        typed error and woken so it can unwind; anything still alive
-        after the grace period is surfaced as one
-        :class:`~repro.scheduler.errors.SchedulerThreadLeakWarning`
-        rather than silently leaking a daemon thread.
-        """
-        stragglers: list[JobTicket] = []
-        for ticket in self._tickets:
-            thread = ticket._thread
-            if thread is None or not thread.is_alive():
-                continue
-            request = ticket.request if ticket.request is not None else ticket._inflight
-            if request is not None and not request.done.is_set():
-                if request.error is None and request.answers is None:
-                    request.error = RuntimeError(
-                        f"scheduler shut down before serving job {ticket.index}"
-                    )
-                request.done.set()
-            thread.join(self._REAP_TIMEOUT_S)
-            if thread.is_alive():
-                stragglers.append(ticket)
-        if stragglers:
-            warnings.warn(
-                SchedulerThreadLeakWarning([t.index for t in stragglers]),
-                stacklevel=3,
-            )
-
     # ------------------------------------------------------------------
     # Settling / telemetry merge
     # ------------------------------------------------------------------
     def _settle(self, ticket: JobTicket, outcomes: list[JobOutcome]) -> None:
-        if ticket._thread is not None:
-            ticket._thread.join(timeout=_STALL_TIMEOUT_S)
         error = ticket._error
         if error is None:
             status: Literal["ok", "budget_exceeded", "cancelled", "failed"] = "ok"

@@ -1,12 +1,8 @@
-"""Typed errors and warnings raised by the multi-job scheduler."""
+"""Typed errors raised by the multi-job scheduler."""
 
 from __future__ import annotations
 
-__all__ = [
-    "JobCancelledError",
-    "SchedulerSaturatedError",
-    "SchedulerThreadLeakWarning",
-]
+__all__ = ["JobCancelledError", "SchedulerSaturatedError"]
 
 
 class JobCancelledError(RuntimeError):
@@ -58,29 +54,3 @@ class SchedulerSaturatedError(RuntimeError):
         )
         self.capacity = capacity
         self.pending = pending
-
-
-class SchedulerThreadLeakWarning(UserWarning):
-    """A job thread survived scheduler shutdown.
-
-    Thread-fallback tickets (jobs without a ``steps()`` generator) are
-    joined when :meth:`~repro.scheduler.engine.CrowdScheduler.run`
-    unwinds; a parked one is woken with an error first.  A thread that
-    still refuses to exit within the reap grace period is a resource
-    leak the host should know about — it holds a tenant platform (and
-    its ledgers) alive — so it is surfaced as this typed warning
-    instead of being dropped silently.
-
-    Attributes
-    ----------
-    job_indices:
-        Admission indices of the jobs whose threads were leaked.
-    """
-
-    def __init__(self, job_indices: list[int]):
-        super().__init__(
-            f"scheduler shutdown leaked {len(job_indices)} job thread(s) "
-            f"for jobs {job_indices}: woken with an error but still alive "
-            "after the reap timeout"
-        )
-        self.job_indices = list(job_indices)

@@ -1,10 +1,9 @@
 """Tests for the stable ``repro.api`` facade.
 
 The compatibility story under test: ``repro.api`` re-exports every
-supported name unchanged (same objects, not copies), the deprecated
-``ResilientCrowdMaxJob`` finished its cycle and is *gone* from every
-import path, and ``repro.service`` survives as a silent alias of
-``repro.jobs`` (the module rename must not break old imports).
+supported name unchanged (same objects, not copies), and the
+deprecated ``ResilientCrowdMaxJob`` and the ``repro.service`` alias of
+``repro.jobs`` finished their cycles and are *gone*.
 """
 
 import importlib
@@ -15,7 +14,6 @@ import pytest
 import repro
 import repro.api
 import repro.jobs
-import repro.service
 from repro.core.generators import planted_instance
 from repro.jobs import CrowdMaxJob, JobPhaseConfig, ResiliencePolicy
 from repro.platform.platform import CrowdPlatform
@@ -64,25 +62,18 @@ class TestShimRemoval:
         assert not hasattr(repro, "ResilientCrowdMaxJob")
         assert "ResilientCrowdMaxJob" not in repro.__all__
         assert not hasattr(repro.jobs, "ResilientCrowdMaxJob")
-        assert not hasattr(repro.service, "ResilientCrowdMaxJob")
 
     def test_replacement_is_exported_everywhere(self):
         assert repro.api.ResiliencePolicy is ResiliencePolicy
         assert repro.ResiliencePolicy is ResiliencePolicy
 
 
-class TestServiceModuleAlias:
-    """``repro.service`` is a silent re-export alias of ``repro.jobs``."""
+class TestServiceAliasRemoval:
+    """The ``repro.service`` alias of ``repro.jobs`` is gone."""
 
-    def test_alias_names_are_identical_objects(self):
-        for name in repro.service.__all__:
-            assert getattr(repro.service, name) is getattr(repro.jobs, name)
-
-    def test_alias_import_does_not_warn(self, recwarn):
-        importlib.reload(repro.service)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_alias_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service")
 
 
 def make_setup(seed=777):

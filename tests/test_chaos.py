@@ -29,7 +29,7 @@ from repro.platform.gold import GoldPolicy
 from repro.platform.job import ComparisonTask
 from repro.platform.platform import CrowdPlatform
 from repro.platform.workforce import WorkerPool
-from repro.service import (
+from repro.jobs import (
     BudgetExceededError,
     CrowdJobResult,
     CrowdMaxJob,

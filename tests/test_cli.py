@@ -131,20 +131,18 @@ class TestServeSim:
     def test_quantum_defaults_to_unlimited(self):
         assert build_parser().parse_args(["serve-sim"]).quantum == 0
 
-    def test_four_arm_run_writes_v2_artifact_and_history(self, tmp_path, capsys):
+    def test_three_arm_run_writes_v3_artifact_and_history(self, tmp_path, capsys):
         import json
 
         assert main(
             ["serve-sim", "--serve-jobs", "4", "--out", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "scheduled (serial)" in out
         assert "scheduled (fused)" in out
         assert "scheduled (fused+cache)" in out
 
         payload = json.loads((tmp_path / "BENCH_scheduler.json").read_text())
-        assert payload["schema"] == "repro.bench_scheduler/v2"
-        assert payload["scheduled_serial"]["identical_to_isolated"] is True
+        assert payload["schema"] == "repro.bench_scheduler/v3"
         assert payload["scheduled_fused"]["identical_to_isolated"] is True
         assert payload["scheduled_cached"]["cache_hit_rate"] > 0
 

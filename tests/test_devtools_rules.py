@@ -631,7 +631,7 @@ class TestSCH001DirectPlatformBatch:
         assert (
             lint(
                 "fresh, report = CrowdPlatform.compare_batch("
-                "  # repro-lint: disable=SCH001 -- fusion=off escape hatch\n"
+                "  # repro-lint: disable=SCH001 -- the lone buy for fast-path-ineligible requests\n"
                 "    self, pool_name, vi, vj\n"
                 ")\n",
                 path=self.SCHED_PATH,

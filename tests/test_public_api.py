@@ -34,7 +34,6 @@ PUBLIC_MODULES = [
     "repro.experiments",
     "repro.analysis",
     "repro.jobs",
-    "repro.service",
     "repro.service_http",
     "repro.service_http.client",
     "repro.service_http.errors",

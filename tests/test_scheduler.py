@@ -23,7 +23,7 @@ from repro.scheduler import (
     SchedulerSaturatedError,
     fingerprint_instance,
 )
-from repro.service import CrowdMaxJob, CrowdTopKJob, JobPhaseConfig
+from repro.jobs import CrowdMaxJob, CrowdTopKJob, JobPhaseConfig
 from repro.telemetry import Tracer
 from repro.workers.threshold import ThresholdWorkerModel
 

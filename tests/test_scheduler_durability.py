@@ -9,13 +9,16 @@ The resume contract under test (see docs/DURABILITY.md):
   finishes bit-identical to the uninterrupted run, with zero
   re-spent comparisons for settled batches;
 * the journal binds to its workload — resuming a different one fails
-  loudly rather than replaying the wrong answers;
+  loudly rather than replaying the wrong answers, and closes the store;
+* journals stamped with the removed ``fusion`` fact (either value)
+  still resume bit-identically;
 * invalidation evicts from the in-memory cache and the SQLite store
   together.
 """
 
 import hashlib
 import json
+import sqlite3
 
 import pytest
 
@@ -31,6 +34,8 @@ from repro.experiments.bench_durability import run_durable_workload
 from repro.experiments.bench_scheduler import SchedulerWorkload
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
 from repro.telemetry import Tracer
+
+from test_scheduler_fusion import SerialScheduler
 
 WORKLOAD = dict(seed=901, n_jobs=4, n=60, u_n=3, catalogs=2)
 
@@ -155,6 +160,53 @@ class TestResume:
         other = SchedulerWorkload(**{**WORKLOAD, "seed": 902})
         with pytest.raises(JournalMismatchError):
             run_durable_workload(other, state)
+
+    def test_refused_journal_closes_the_store(self, tmp_path):
+        """A journal mismatch raised while recovering still closes the
+        SQLite connection of the scheduler-owned durable cache."""
+        state = tmp_path / "state"
+        run_durable_workload(make_workload(), state)
+        other = SchedulerWorkload(**{**WORKLOAD, "seed": 902})
+        scheduler = CrowdScheduler(
+            other.pools(), root_seed=other.seed, durability=DurabilityPolicy(state)
+        )
+        for job in other.jobs():
+            scheduler.submit(job)
+        with pytest.raises(JournalMismatchError):
+            scheduler.run()
+        with pytest.raises(sqlite3.ProgrammingError):
+            scheduler.cache.store.load()
+
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "serial"])
+    def test_resume_journal_stamped_with_fusion(self, tmp_path, fusion):
+        """Journals from before the ``fusion`` knob was removed carry it
+        in their header.  A ``false`` one was written by serving every
+        request alone, as :class:`SerialScheduler` does; either resumes
+        bit-identically with every ledger operation replayed."""
+        state = tmp_path / "state"
+        workload = make_workload()
+        writer = (CrowdScheduler if fusion else SerialScheduler)(
+            workload.pools(), root_seed=workload.seed, durability=DurabilityPolicy(state)
+        )
+        for job in workload.jobs():
+            writer.submit(job)
+        first = writer.run()
+        journal_path = state / "journal.jsonl"
+        records = JobJournal.recover(journal_path)
+        journal_path.unlink()
+        with JobJournal(journal_path) as journal:
+            journal.begin_group()
+            for record in records:
+                fields = {k: v for k, v in record.items() if k not in ("crc", "kind")}
+                if record["kind"] == "header":
+                    fields["fusion"] = fusion
+                journal.append(record["kind"], **fields)
+            journal.commit_group()
+        assert JobJournal.recover(journal_path)[0]["fusion"] is fusion
+        resumed, sched, _ = run_durable_workload(make_workload(), state)
+        assert fingerprints(resumed) == fingerprints(first)
+        total_ops = sum(o.ticket.platform.ledger.operations() for o in resumed)
+        assert sched.replayed_operations == total_ops > 0
 
     def test_journal_rejects_different_job_count(self, tmp_path):
         state = tmp_path / "state"

@@ -3,23 +3,18 @@
 The tentpole contract (see docs/SCHEDULER.md): fused settlement —
 all fast-path-eligible parked requests of a tick settled in one
 platform pass per (pool, worker-model) group — is *bit-identical* to
-serial settlement (``fusion=False``), which in turn equals isolated
-per-job execution.  Answers, money, judgment counts, and per-tenant
-ledgers must all agree, across quanta and job mixes; thread-fallback
-jobs (no ``steps()``) ride the same tick loop and land the same
-results; and shutdown reaps any surviving job threads.
+serving every request alone (the :class:`SerialScheduler` reference
+below), which in turn equals isolated per-job execution.  Answers,
+money, judgment counts, per-tenant ledgers and cache traffic must all
+agree, across quanta, job mixes and with the cross-job cache on.  The
+scheduler runs only jobs that expose a ``steps()`` generator.
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.core.generators import planted_instance
 from repro.platform.platform import CrowdPlatform
-from repro.scheduler import CrowdScheduler, SchedulerThreadLeakWarning
-from repro.service import CrowdMaxJob, JobPhaseConfig
+from repro.scheduler import CrowdScheduler
 from repro.telemetry import Tracer
 from repro.telemetry.names import EVENT_KINDS, SPAN_NAMES, TIMER_NAMES
 
@@ -28,13 +23,38 @@ from test_scheduler import make_catalogs, make_jobs, make_pools
 N_JOBS = 6
 
 
-def run_arm(fusion, seed=2015, quantum=None, cache=False, tracer=None, jobs=None):
-    scheduler = CrowdScheduler(
+class SerialScheduler(CrowdScheduler):
+    """The parity reference: every admitted request is served alone.
+
+    Admission, seeding, journal replay and resume are the engine's
+    own; only the settle phase differs.  Each request is looked up in
+    the cache and its misses bought through the platform's own
+    ``compare_batch`` before the next request is touched, so no two
+    requests ever share a platform pass, a decide call or a cache
+    snapshot.
+    """
+
+    def _settle_requests(self, admitted):
+        for ticket in admitted:
+            request, ticket.request = ticket.request, None
+            ticket._inflight = request
+            queue = self._replay.get(ticket.index)
+            if queue:
+                self._replay_serve(ticket, request, queue.popleft())
+                continue
+            lookup = self._lookup(ticket, request)
+            if len(lookup.miss):
+                self._buy(lookup)
+            else:
+                self._record_serve(lookup)
+
+
+def run_arm(scheduler_cls, seed=2015, quantum=None, cache=False, tracer=None, jobs=None):
+    scheduler = scheduler_cls(
         make_pools(),
         root_seed=seed,
         cache=cache,
         quantum=quantum,
-        fusion=fusion,
         tracer=tracer,
     )
     for job in jobs if jobs is not None else make_jobs(make_catalogs(seed), n_jobs=N_JOBS):
@@ -56,29 +76,27 @@ def per_job_facts(outcomes):
     return facts
 
 
-class LegacyJob:
-    """A ``submit()/settle()``-only job — no ``steps`` attribute — so
-    the scheduler must fall back to the thread-per-job discipline."""
-
-    def __init__(self, job):
-        self._job = job
-        self.instance = job.instance
-        self.kind = job.kind
-
-    def submit(self, platform, rng, tracer=None):
-        self._job.submit(platform, rng, tracer=tracer)
-        return self
-
-    def settle(self):
-        return self._job.settle()
-
-
 class TestFusedParity:
     @pytest.mark.parametrize("quantum", [4, 16, None])
     def test_fused_equals_serial(self, quantum):
-        _, fused = run_arm(fusion=True, quantum=quantum)
-        _, serial = run_arm(fusion=False, quantum=quantum)
+        _, fused = run_arm(CrowdScheduler, quantum=quantum)
+        _, serial = run_arm(SerialScheduler, quantum=quantum)
         assert per_job_facts(fused) == per_job_facts(serial)
+
+    @pytest.mark.parametrize("quantum", [4, None])
+    def test_fused_equals_serial_with_cache(self, quantum):
+        """The overlap flush makes every fused lookup see the store
+        state one-at-a-time service would have: same hits, same bills."""
+        fused_scheduler, fused = run_arm(CrowdScheduler, quantum=quantum, cache=True)
+        serial_scheduler, serial = run_arm(SerialScheduler, quantum=quantum, cache=True)
+        assert per_job_facts(fused) == per_job_facts(serial)
+        fused_cache, serial_cache = fused_scheduler.cache, serial_scheduler.cache
+        assert fused_cache.hits > 0
+        assert (fused_cache.hits, fused_cache.misses, len(fused_cache)) == (
+            serial_cache.hits,
+            serial_cache.misses,
+            len(serial_cache),
+        )
 
     def test_fused_equals_isolated(self):
         """Fusion is invisible: same answers, same bill, same judgment
@@ -97,21 +115,19 @@ class TestFusedParity:
                 round(platform.ledger.total_cost, 9),
                 platform.ledger.operations(),
             )
-        _, fused = run_arm(fusion=True, quantum=None)
+        _, fused = run_arm(CrowdScheduler, quantum=None)
         assert per_job_facts(fused) == isolated
 
     @pytest.mark.parametrize("n_jobs", [1, 3, 6])
     def test_parity_across_job_mixes(self, n_jobs):
         jobs = lambda: make_jobs(make_catalogs(), n_jobs=n_jobs)  # noqa: E731
-        _, fused = run_arm(fusion=True, jobs=jobs())
-        _, serial = run_arm(fusion=False, jobs=jobs())
+        _, fused = run_arm(CrowdScheduler, jobs=jobs())
+        _, serial = run_arm(SerialScheduler, jobs=jobs())
         assert per_job_facts(fused) == per_job_facts(serial)
 
     def test_tenant_ledgers_match(self):
-        def run(fusion):
-            scheduler = CrowdScheduler(
-                make_pools(), root_seed=2015, cache=False, fusion=fusion
-            )
+        def run(scheduler_cls):
+            scheduler = scheduler_cls(make_pools(), root_seed=2015, cache=False)
             for k, job in enumerate(make_jobs(make_catalogs(), n_jobs=4)):
                 scheduler.submit(job, tenant="even" if k % 2 == 0 else "odd")
             scheduler.run()
@@ -120,11 +136,11 @@ class TestFusedParity:
                 for tenant in ("even", "odd")
             }
 
-        assert run(fusion=True) == run(fusion=False)
+        assert run(CrowdScheduler) == run(SerialScheduler)
 
     def test_fused_cached_run_is_reproducible(self):
-        _, first = run_arm(fusion=True, cache=True)
-        _, second = run_arm(fusion=True, cache=True)
+        _, first = run_arm(CrowdScheduler, cache=True)
+        _, second = run_arm(CrowdScheduler, cache=True)
         assert per_job_facts(first) == per_job_facts(second)
 
 
@@ -144,7 +160,7 @@ class TestFusionTelemetry:
 
     def test_fused_run_emits_batch_fused_and_phase_spans(self):
         tracer = Tracer()
-        run_arm(fusion=True, quantum=None, tracer=tracer)
+        run_arm(CrowdScheduler, quantum=None, tracer=tracer)
         fused = tracer.records_of_kind("batch_fused")
         assert fused, "no batch_fused event in a fused run"
         assert all(r["requests"] >= 1 and r["judgments"] >= 1 for r in fused)
@@ -157,106 +173,66 @@ class TestFusionTelemetry:
 
     def test_serial_run_emits_no_batch_fused(self):
         tracer = Tracer()
-        run_arm(fusion=False, quantum=None, tracer=tracer)
+        run_arm(SerialScheduler, quantum=None, tracer=tracer)
         assert tracer.records_of_kind("batch_fused") == []
 
 
-class TestThreadFallback:
-    def test_thread_jobs_match_coroutine_jobs(self):
-        _, native = run_arm(fusion=True, jobs=make_jobs(make_catalogs(), n_jobs=3))
-        _, legacy = run_arm(
-            fusion=True,
-            jobs=[LegacyJob(j) for j in make_jobs(make_catalogs(), n_jobs=3)],
-        )
-        assert per_job_facts(native) == per_job_facts(legacy)
+class TestStepsProtocol:
+    def test_job_without_steps_is_refused_before_seeding(self):
+        class SettleOnlyJob:
+            """A ``submit()/settle()``-only job: no ``steps()`` generator."""
 
-    def test_mixed_workload(self):
-        jobs = make_jobs(make_catalogs(), n_jobs=4)
-        mixed = [LegacyJob(j) if k % 2 else j for k, j in enumerate(jobs)]
-        _, native = run_arm(fusion=True, jobs=make_jobs(make_catalogs(), n_jobs=4))
-        _, outcomes = run_arm(fusion=True, jobs=mixed)
-        assert per_job_facts(outcomes) == per_job_facts(native)
-        assert all(o.result is not None for o in outcomes)
-
-
-class TestThreadReap:
-    def _one_legacy_job(self):
-        instance = planted_instance(
-            n=40, u_n=3, u_e=2, delta_n=1.0, delta_e=0.25,
-            rng=np.random.default_rng(7),
-        )
-        return LegacyJob(
-            CrowdMaxJob(
-                instance,
-                u_n=3,
-                phase1=JobPhaseConfig(pool="crowd"),
-                phase2=JobPhaseConfig(pool="experts"),
-            )
-        )
-
-    def test_engine_error_reaps_parked_threads(self, monkeypatch):
-        def boom(self, admitted):
-            raise RuntimeError("tick exploded")
-
-        monkeypatch.setattr(CrowdScheduler, "_run_tick", boom)
-        scheduler = CrowdScheduler(make_pools(), root_seed=2015, cache=False)
-        ticket = scheduler.submit(self._one_legacy_job())
-        with pytest.raises(RuntimeError, match="tick exploded"):
-            scheduler.run()
-        assert ticket._thread is not None
-        ticket._thread.join(timeout=5.0)
-        assert not ticket._thread.is_alive(), "job thread leaked past shutdown"
-
-    def test_straggler_thread_warns(self, monkeypatch):
-        release = threading.Event()
-
-        class StubbornJob:
-            """Swallows the shutdown error and refuses to die in time."""
-
-            def __init__(self, inner):
-                self._inner = inner
-                self.instance = inner.instance
-                self.kind = inner.kind
+            def __init__(self, job):
+                self._job = job
+                self.instance = job.instance
+                self.kind = job.kind
 
             def submit(self, platform, rng, tracer=None):
-                self._inner._job.submit(platform, rng, tracer=tracer)
+                self._job.submit(platform, rng, tracer=tracer)
                 return self
 
             def settle(self):
-                try:
-                    return self._inner.settle()
-                except RuntimeError:
-                    release.wait(timeout=10.0)
-                    raise
+                return self._job.settle()
 
-        def boom(self, admitted):
-            raise RuntimeError("tick exploded")
-
-        monkeypatch.setattr(CrowdScheduler, "_run_tick", boom)
-        monkeypatch.setattr(CrowdScheduler, "_REAP_TIMEOUT_S", 0.05)
+        first, second = make_jobs(make_catalogs(), n_jobs=2)
         scheduler = CrowdScheduler(make_pools(), root_seed=2015, cache=False)
-        ticket = scheduler.submit(StubbornJob(self._one_legacy_job()))
-        try:
-            with pytest.warns(SchedulerThreadLeakWarning) as caught:
-                with pytest.raises(RuntimeError, match="tick exploded"):
-                    scheduler.run()
-            assert caught[0].message.job_indices == [0]
-        finally:
-            release.set()
-            if ticket._thread is not None:
-                ticket._thread.join(timeout=5.0)
+        with pytest.raises(TypeError, match="steps"):
+            scheduler.submit(SettleOnlyJob(first))
+        ticket = scheduler.submit(second)
+        expected = CrowdScheduler(make_pools(), root_seed=2015, cache=False).submit(second)
+        assert ticket.index == 0
+        assert ticket.rng.bit_generator.state == expected.rng.bit_generator.state
+        assert (
+            ticket._platform_rng.bit_generator.state
+            == expected._platform_rng.bit_generator.state
+        )
 
+    def test_synchronous_compare_batch_fails_the_job(self):
+        class EagerJob:
+            """Calls the platform from inside its generator instead of
+            yielding the call as an ``OracleCall`` step."""
 
-class TestFusionEscapeHatch:
-    def test_fusion_off_still_identical(self):
-        """The escape hatch is a perf knob, never a results knob."""
-        start = time.perf_counter()
-        _, serial = run_arm(fusion=False, quantum=None)
-        _, fused = run_arm(fusion=True, quantum=None)
-        assert per_job_facts(serial) == per_job_facts(fused)
-        assert time.perf_counter() - start >= 0  # timing smoke, not an assertion
+            def __init__(self, job):
+                self.instance = job.instance
+                self.kind = job.kind
 
-    def test_fusion_flag_recorded(self):
-        scheduler = CrowdScheduler(make_pools(), root_seed=2015, fusion=False)
-        assert scheduler.fusion is False
-        assert scheduler._journal_facts()["fusion"] is False
+            def submit(self, platform, rng, tracer=None):
+                self._platform = platform
+                return self
+
+            def steps(self):
+                answers, _ = self._platform.compare_batch(
+                    "crowd", np.array([0]), np.array([1]), np.zeros(1), np.ones(1)
+                )
+                yield answers
+
+        eager_job, plain_job = make_jobs(make_catalogs(), n_jobs=2)
+        scheduler = CrowdScheduler(make_pools(), root_seed=2015, cache=False)
+        eager = scheduler.submit(EagerJob(eager_job))
+        plain = scheduler.submit(plain_job)
+        scheduler.run()
+        assert eager.outcome.status == "failed"
+        assert isinstance(eager.outcome.error, RuntimeError)
+        assert "OracleCall" in str(eager.outcome.error)
+        assert eager.outcome.cost == 0.0
+        assert plain.outcome.status == "ok"

@@ -1,4 +1,4 @@
-"""Tests for repro.service (the CrowdDB-style job API)."""
+"""Tests for repro.jobs (the CrowdDB-style job API)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.generators import planted_instance
 from repro.platform.platform import CrowdPlatform
 from repro.platform.workforce import WorkerPool
-from repro.service import (
+from repro.jobs import (
     BudgetExceededError,
     CrowdJobResult,
     CrowdMaxJob,

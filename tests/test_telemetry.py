@@ -325,7 +325,7 @@ class TestPlatformTrace:
     def test_job_execute_traces_batches_and_spans(self, rng):
         from repro.platform.platform import CrowdPlatform
         from repro.platform.workforce import WorkerPool
-        from repro.service import CrowdMaxJob, JobPhaseConfig
+        from repro.jobs import CrowdMaxJob, JobPhaseConfig
 
         instance = planted_instance(
             n=60, u_n=4, u_e=2, delta_n=1.0, delta_e=0.25, rng=rng
