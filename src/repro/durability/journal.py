@@ -15,10 +15,13 @@ One JSON object per line.  Each record carries a ``crc`` field — a
 truncated SHA-256 over the canonical (compact, sorted-keys) encoding
 of the rest of the record — written first: a line is
 ``{"crc":"<16 hex>",`` followed by that canonical encoding without its
-opening brace, so an append encodes its record once.  Array payloads
-(a serve record's pair indices and answer flags) are base64 text made
-by the codec next to :data:`JOURNAL_FORMAT`: index arrays as
-little-endian int32, boolean arrays bit-packed with ``np.packbits``.
+opening brace, so an append encodes its record once.  A serve record
+names its request's pairs by a digest (:func:`digest_pairs`) rather
+than listing them — replay takes the indices from the live request
+after checking the digest.  Its other array payloads (miss positions
+and answer flags) are base64 text made by the codec next to
+:data:`JOURNAL_FORMAT`: index arrays as little-endian int32, boolean
+arrays bit-packed with ``np.packbits``.
 A standalone append is flushed and ``fsync``\\ ed before returning; a
 *group commit* (:meth:`JobJournal.begin_group` /
 :meth:`JobJournal.commit_group`) buffers many records and lands them
@@ -57,6 +60,7 @@ __all__ = [
     "JOURNAL_FORMAT",
     "JournalRecord",
     "JobJournal",
+    "digest_pairs",
     "encode_indices",
     "decode_indices",
     "encode_flags",
@@ -64,11 +68,21 @@ __all__ = [
 ]
 
 #: Stamped into the journal header; readers reject other formats.
-JOURNAL_FORMAT = "repro.journal/v2"
+JOURNAL_FORMAT = "repro.journal/v3"
 
 JournalRecord = dict[str, Any]
 
 _INT32 = np.iinfo(np.int32)
+
+
+def digest_pairs(indices_i: np.ndarray, indices_j: np.ndarray) -> str:
+    """A request's pairs as a serve record names them: SHA-256, truncated
+    to 128 bits, over the pair count and both index arrays as
+    little-endian int64."""
+    digest = hashlib.sha256(len(indices_i).to_bytes(8, "little"))
+    digest.update(np.ascontiguousarray(indices_i, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(indices_j, dtype="<i8").tobytes())
+    return digest.hexdigest()[:32]
 
 
 def encode_indices(values: np.ndarray) -> str:

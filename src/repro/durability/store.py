@@ -106,6 +106,15 @@ def _decode(pairs: bytes) -> Columns:
     return lo.astype(np.intp), hi.astype(np.intp), lo_wins.astype(bool)
 
 
+def last_answers(codes: np.ndarray, lo_wins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed pair codes sorted and unique, each with its *last* answer."""
+    order = np.argsort(codes, kind="stable")
+    codes, lo_wins = codes[order], lo_wins[order]
+    last = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+    return codes[last], lo_wins[last]
+
+
 def _merge(rows: list[Columns]) -> Columns:
     """Concatenate a segment's rows, keeping each pair's *last* answer.
 
@@ -113,10 +122,8 @@ def _merge(rows: list[Columns]) -> Columns:
     judgments load to identical columns whatever their commit history.
     """
     lo, hi, lo_wins = (np.concatenate(column) for column in zip(*rows))
-    codes = (lo.astype(np.int64) << 32) | hi
-    _, first_from_end = np.unique(codes[::-1], return_index=True)
-    keep = len(codes) - 1 - first_from_end
-    return lo[keep], hi[keep], lo_wins[keep]
+    codes, lo_wins = last_answers((lo.astype(np.int64) << 32) | hi, lo_wins)
+    return codes >> 32, codes & 0xFFFFFFFF, lo_wins
 
 
 class PersistentComparisonStore:

@@ -17,6 +17,13 @@ class is part of the key on purpose — a naive-pool majority and an
 expert judgment over the same pair are *different products* with
 different error guarantees, and must never substitute for one another.
 
+Each segment is held as two sorted columns: the packed pair codes
+(``int64``, ascending, unique) and the answers normalised to "``lo``
+wins" (``bool``).  A batch lookup is one ``np.searchsorted`` of its
+codes; a batch store sorts the batch, keeps each pair's last answer,
+overwrites the codes the segment already holds and inserts the rest
+with ``np.insert``, so the columns stay sorted without a full re-sort.
+
 Determinism note: serving answers from the cache skips the platform
 machinery (no RNG draws, no payment), so a cache-enabled schedule is
 *not* bit-identical to isolated execution — it is strictly cheaper.
@@ -27,12 +34,11 @@ execution; see ``docs/SCHEDULER.md`` for the full contract.
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
-from ..durability.store import Columns, PersistentComparisonStore, Segment
+from ..durability.store import Columns, PersistentComparisonStore, Segment, last_answers
 from ..telemetry import Tracer, resolve_tracer
 
 __all__ = [
@@ -84,25 +90,54 @@ def pair_codes(indices_i: np.ndarray, indices_j: np.ndarray) -> tuple[np.ndarray
     return (lo << 32) | hi, i > j
 
 
+#: A segment in memory: sorted unique pair codes and their "``lo`` wins" answers.
+_SortedColumns = tuple[np.ndarray, np.ndarray]
+
+
+def _merge(
+    segment: _SortedColumns, codes: np.ndarray, lo_wins: np.ndarray
+) -> tuple[_SortedColumns, np.ndarray]:
+    """``segment`` with a sorted unique batch written in (the batch wins).
+
+    Returns the merged columns and the batch codes whose answer is new
+    or changed.  Answers of codes already held are overwritten in place;
+    the code column is only ever replaced, never written, so code arrays
+    handed to :meth:`ComparisonMemoCache._changed` stay valid.  The rest
+    are inserted at their ``searchsorted`` positions, O(n + m log m)
+    for a segment of n and a batch of m.
+    """
+    stored, stored_wins = segment
+    pos = np.searchsorted(stored, codes)
+    present = stored[np.minimum(pos, len(stored) - 1)] == codes
+    at = pos[present]
+    changed = ~present
+    changed[present] = stored_wins[at] != lo_wins[present]
+    stored_wins[at] = lo_wins[present]
+    if not present.all():
+        absent = ~present
+        stored = np.insert(stored, pos[absent], codes[absent])
+        stored_wins = np.insert(stored_wins, pos[absent], lo_wins[absent])
+    return (stored, stored_wins), codes[changed]
+
+
 class ComparisonMemoCache:
     """Memo of settled pairwise answers, shared across jobs.
 
-    The memo is one map per *segment* ``(fingerprint, pool,
-    judgments_per_task)``, keyed by the packed pair code
-    ``lo << 32 | hi`` (see :func:`pair_codes`) with the answer
-    normalised to "``lo`` wins", so ``(3, 7)`` and ``(7, 3)`` hit the
-    same entry.  A batch costs a few numpy and C-level calls: lookups
-    run ``map(segment.get, codes)``, stores one ``segment.update``.
-    ``hits`` / ``misses`` count *pairs looked up*, giving the
-    judgments-saved numerator the benchmark and the ``cache_hit``
-    telemetry report.  The optional ``tracer`` receives
+    The memo is two sorted columns per *segment* ``(fingerprint, pool,
+    judgments_per_task)``: the packed pair codes ``lo << 32 | hi`` (see
+    :func:`pair_codes`) and the answers normalised to "``lo`` wins", so
+    ``(3, 7)`` and ``(7, 3)`` hit the same entry.  A lookup is one
+    ``np.searchsorted``; a store merges the batch into the columns
+    (last write wins).  ``hits`` / ``misses`` count *pairs looked up*,
+    giving the judgments-saved numerator the benchmark and the
+    ``cache_hit`` telemetry report.  The optional ``tracer`` receives
     ``cache_invalidated`` events (and, in the durable subclass,
     ``cache_persisted``); it defaults to the ambient tracer, a no-op
     unless one was activated.
     """
 
     def __init__(self, tracer: Tracer | None = None) -> None:
-        self._segments: dict[Segment, dict[int, bool]] = {}
+        self._segments: dict[Segment, _SortedColumns] = {}
         self.hits = 0
         self.misses = 0
         self.tracer = resolve_tracer(tracer)
@@ -131,14 +166,13 @@ class ComparisonMemoCache:
         if segment is None:
             self.misses += size
             return np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        found = np.fromiter(
-            map(segment.get, codes.tolist(), repeat(-1)), dtype=np.int8, count=size
-        )
-        hit_mask = found >= 0
+        stored, lo_wins = segment
+        pos = np.minimum(np.searchsorted(stored, codes), len(stored) - 1)
+        hit_mask = stored[pos] == codes
         hits = int(np.count_nonzero(hit_mask))
         self.hits += hits
         self.misses += size - hits
-        return hit_mask, ((found == 1) ^ flipped) & hit_mask
+        return hit_mask, (lo_wins[pos] ^ flipped) & hit_mask
 
     def store_batch(
         self,
@@ -153,27 +187,29 @@ class ComparisonMemoCache:
 
         A pair given twice in one batch keeps its last answer.
         """
+        if not len(indices_i):
+            return
         key = (fingerprint, pool_name, int(judgments_per_task))
         codes, flipped = pair_codes(indices_i, indices_j)
-        lo_wins = np.asarray(answers, dtype=bool) ^ flipped
-        self._ingest(key, self._segments.setdefault(key, {}), codes, lo_wins)
+        codes, lo_wins = last_answers(codes, np.asarray(answers, dtype=bool) ^ flipped)
+        segment = self._segments.get(key)
+        if segment is None:
+            self._segments[key] = (codes, lo_wins)
+            changed = codes
+        else:
+            self._segments[key], changed = _merge(segment, codes, lo_wins)
+        self._changed(key, changed)
 
-    def _ingest(
-        self,
-        key: Segment,
-        segment: dict[int, bool],
-        codes: np.ndarray,
-        lo_wins: np.ndarray,
-    ) -> None:
-        """Write normalised answers into ``segment``; subclasses that
-        mirror stores to a backing medium extend this."""
-        segment.update(zip(codes.tolist(), lo_wins.tolist()))
+    def _changed(self, key: Segment, codes: np.ndarray) -> None:
+        """Hook for the codes of ``key`` whose answer a store added or
+        changed; subclasses that mirror stores to a backing medium
+        extend this."""
 
     # ------------------------------------------------------------------
     # Introspection / invalidation
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(segment) for segment in self._segments.values())
+        return sum(len(codes) for codes, _ in self._segments.values())
 
     @property
     def lookups(self) -> int:
@@ -205,7 +241,7 @@ class ComparisonMemoCache:
             if (fingerprint is None or key[0] == fingerprint)
             and (pool_name is None or key[1] == pool_name)
         ]
-        removed = sum(len(self._segments.pop(key)) for key in doomed)
+        removed = sum(len(self._segments.pop(key)[0]) for key in doomed)
         if self.tracer.enabled:
             self.tracer.event(
                 "cache_invalidated",
@@ -232,7 +268,7 @@ class DurableComparisonCache(ComparisonMemoCache):
     segment in one transaction, and ``invalidate`` evicts from both
     layers.  Pairs re-stored with the answer they already hold (journal
     replay over a warm store) are not written again.  Lookups never
-    touch the database — the in-memory maps are always a faithful image
+    touch the database — the in-memory columns are always a faithful image
     of the store, so the hot path is identical to the plain cache.
 
     The write-through is intentionally *after* the in-memory update and
@@ -250,8 +286,9 @@ class DurableComparisonCache(ComparisonMemoCache):
         super().__init__(tracer=tracer)
         self.store = store
         for key, (lo, hi, lo_wins) in store.load().items():
-            codes, _ = pair_codes(lo, hi)
-            self._segments[key] = dict(zip(codes.tolist(), lo_wins.tolist()))
+            # ``load`` returns each segment sorted by ``(lo, hi)`` with
+            # every pair once: the packed codes are already a column.
+            self._segments[key] = ((lo.astype(np.int64) << 32) | hi, lo_wins)
         #: Entries warm-loaded from disk at construction.
         self.warm_entries = len(self)
         #: When ``True`` (set by the scheduler while journaling), the
@@ -261,20 +298,8 @@ class DurableComparisonCache(ComparisonMemoCache):
         self.deferred = False
         self._pending: dict[Segment, list[np.ndarray]] = {}
 
-    def _ingest(
-        self,
-        key: Segment,
-        segment: dict[int, bool],
-        codes: np.ndarray,
-        lo_wins: np.ndarray,
-    ) -> None:
-        known = np.fromiter(
-            map(segment.get, codes.tolist(), repeat(-1)), dtype=np.int8, count=len(codes)
-        )
-        super()._ingest(key, segment, codes, lo_wins)
-        # Every pair whose stored answer may have changed; duplicates in
-        # one batch resolve to the segment's final answer.
-        self._pending.setdefault(key, []).append(codes[known != lo_wins])
+    def _changed(self, key: Segment, codes: np.ndarray) -> None:
+        self._pending.setdefault(key, []).append(codes)
         if not self.deferred:
             self.flush_pending()
 
@@ -287,13 +312,17 @@ class DurableComparisonCache(ComparisonMemoCache):
         pending, self._pending = self._pending, {}
         columns: dict[Segment, Columns] = {}
         for key, parts in pending.items():
-            codes = np.concatenate(parts)
+            # Each part is sorted and unique; a pair changed by several
+            # batches is written once, with the segment's final answer.
+            codes = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
             if not len(codes):
                 continue
-            lo_wins = np.fromiter(
-                map(self._segments[key].get, codes.tolist()), dtype=bool, count=len(codes)
+            stored, lo_wins = self._segments[key]
+            columns[key] = (
+                codes >> 32,
+                codes & 0xFFFFFFFF,
+                lo_wins[np.searchsorted(stored, codes)],
             )
-            columns[key] = (codes >> 32, codes & 0xFFFFFFFF, lo_wins)
         written = self.store.write_entries(columns)
         if written:
             if self.tracer.enabled:

@@ -78,6 +78,7 @@ import numpy as np
 from ..core.steps import OracleCall, Steps
 from ..durability import (
     JOURNAL_FORMAT,
+    DurabilityError,
     DurabilityPolicy,
     JobJournal,
     JournalMismatchError,
@@ -87,6 +88,7 @@ from ..durability import (
 from ..durability.journal import (
     decode_flags,
     decode_indices,
+    digest_pairs,
     encode_flags,
     encode_indices,
 )
@@ -212,6 +214,94 @@ def _report_from_state(state: dict[str, Any]) -> BatchReport:
         judgments_malformed=int(state["judgments_malformed"]),
         judgments_lost_late=int(state["judgments_lost_late"]),
         retries=int(state["retries"]),
+    )
+
+
+#: The fields of a ``serve`` record and the JSON types each may hold.
+_SERVE_FIELDS: dict[str, tuple[type, ...]] = {
+    "seq": (int,),
+    "job_index": (int,),
+    "pool": (str,),
+    "judgments": (int,),
+    "pairs": (str,),
+    "miss": (str,),
+    "fresh": (str,),
+    "answers": (str,),
+    "hits": (int,),
+    "charges": (list,),
+    "report": (dict, type(None)),
+    "platform": (dict, type(None)),
+}
+
+
+@dataclass(frozen=True)
+class _JournaledServe:
+    """A recovered ``serve`` record with its array payloads decoded."""
+
+    record: JournalRecord
+    miss: np.ndarray
+    fresh: np.ndarray
+    answers: np.ndarray
+
+
+def _malformed(record: JournalRecord, field: str, problem: str) -> DurabilityError:
+    seq = f" seq={record['seq']}" if "seq" in record else ""
+    return DurabilityError(
+        f"malformed journal {record.get('kind')} record{seq}: {field!r} {problem}"
+    )
+
+
+def _decoded(
+    record: JournalRecord, field: str, decode: Callable[..., np.ndarray], *args: int
+) -> np.ndarray:
+    try:
+        return decode(record[field], *args)
+    except DurabilityError as exc:
+        raise _malformed(record, field, str(exc)) from exc
+
+
+def _parse_serve(record: JournalRecord) -> _JournaledServe:
+    """Validate a recovered ``serve`` record and decode its arrays.
+
+    A record can pass its CRC and still be malformed — rewritten and
+    re-framed, or written by other code — so every field is checked
+    before anything replays: presence and JSON type, ``miss`` strictly
+    increasing below the request size (``hits`` plus the misses), the
+    ``fresh`` and ``answers`` lengths, the charge tape's shape, and a
+    report and platform state whenever something was bought.  Any
+    fault raises :class:`DurabilityError` naming the ``seq`` and field.
+    """
+    for name, types in _SERVE_FIELDS.items():
+        if name not in record:
+            raise _malformed(record, name, "is missing")
+        if type(record[name]) not in types:
+            raise _malformed(record, name, f"holds a {type(record[name]).__name__}")
+    if record["hits"] < 0:
+        raise _malformed(record, "hits", "is negative")
+    miss = _decoded(record, "miss", decode_indices)
+    size = record["hits"] + len(miss)
+    if len(miss) and (miss[0] < 0 or miss[-1] >= size or (np.diff(miss) <= 0).any()):
+        raise _malformed(
+            record, "miss", f"is not strictly increasing positions below {size}"
+        )
+    for charge in record["charges"]:
+        if not (
+            type(charge) is list
+            and len(charge) == 3
+            and type(charge[0]) is str
+            and type(charge[1]) is int
+            and type(charge[2]) in (int, float)
+        ):
+            raise _malformed(record, "charges", f"holds {charge!r}")
+    if len(miss):
+        for name in ("report", "platform"):
+            if record[name] is None:
+                raise _malformed(record, name, "is missing for a batch that bought")
+    return _JournaledServe(
+        record,
+        miss,
+        _decoded(record, "fresh", decode_flags, len(miss)),
+        _decoded(record, "answers", decode_flags, size),
     )
 
 
@@ -512,7 +602,7 @@ class CrowdScheduler:
         self._started = False
         self.ticks = 0
         self._journal: JobJournal | None = None
-        self._replay: dict[int, deque[JournalRecord]] = {}
+        self._replay: dict[int, deque[_JournaledServe]] = {}
         self._journal_seq = 0
         self._settled_journaled: set[int] = set()
         #: Batches served from the journal (not the platform) this run.
@@ -656,12 +746,17 @@ class CrowdScheduler:
                 if header.get(name) != actual:
                     raise JournalMismatchError(name, header.get(name), actual)
             for record in records[1:]:
-                if record["kind"] == "serve":
-                    queue = self._replay.setdefault(int(record["job_index"]), deque())
-                    queue.append(record)
+                kind = record.get("kind")
+                if kind == "serve":
+                    serve = _parse_serve(record)
+                    self._replay.setdefault(record["job_index"], deque()).append(serve)
                     self._journal_seq += 1
-                elif record["kind"] == "settled":
-                    self._settled_journaled.add(int(record["job_index"]))
+                elif kind == "settled":
+                    if type(record.get("job_index")) is not int:
+                        raise _malformed(record, "job_index", "is not an int")
+                    self._settled_journaled.add(record["job_index"])
+                else:
+                    raise _malformed(record, "kind", "is not serve or settled")
         self._journal = JobJournal(
             policy.journal_path, crash_after_appends=policy.crash_after_appends
         )
@@ -1236,8 +1331,7 @@ class CrowdScheduler:
                 job_index=ticket.index,
                 pool=request.pool_name,
                 judgments=request.judgments_per_task,
-                indices_i=encode_indices(request.indices_i),
-                indices_j=encode_indices(request.indices_j),
+                pairs=digest_pairs(request.indices_i, request.indices_j),
                 miss=encode_indices(miss),
                 fresh=encode_flags(fresh if fresh is not None else np.zeros(0, dtype=bool)),
                 answers=encode_flags(lookup.answers),
@@ -1270,35 +1364,29 @@ class CrowdScheduler:
         request.report = report
 
     def _replay_serve(
-        self, ticket: JobTicket, request: _CompareRequest, record: JournalRecord
+        self, ticket: JobTicket, request: _CompareRequest, serve: _JournaledServe
     ) -> None:
         """Serve one request from its journal record — no platform spend.
 
         Validates that the live request matches the journaled one (the
-        determinism contract guarantees it for an identical workload),
+        determinism contract guarantees it for an identical workload):
+        its pool, its redundancy, and the digest of its pairs.  Then
         replays the charge tape through the real ledgers, restores the
         platform's post-batch state, and rebuilds the report the job
-        originally saw.
+        originally saw.  The pairs themselves come from the live
+        request.
         """
+        record, miss, answers = serve.record, serve.miss, serve.answers
         for name, recorded, actual in (
             ("pool", record["pool"], request.pool_name),
             ("judgments", record["judgments"], request.judgments_per_task),
+            ("pairs", record["pairs"], digest_pairs(request.indices_i, request.indices_j)),
         ):
             if recorded != actual:
                 raise JournalMismatchError(f"request.{name}", recorded, actual)
-        for name, live in (
-            ("indices_i", request.indices_i),
-            ("indices_j", request.indices_j),
-        ):
-            if record[name] != encode_indices(live):
-                raise JournalMismatchError(
-                    f"request.{name}",
-                    decode_indices(record[name]).tolist(),
-                    np.asarray(live).tolist(),
-                )
-        answers = decode_flags(record["answers"], request.size)
-        miss = decode_indices(record["miss"])
-        hits = int(record["hits"])
+        if len(answers) != request.size:
+            raise _malformed(record, "hits", f"does not add up to {request.size} pairs")
+        hits = record["hits"]
         if self.cache is not None:
             # Mirror the original lookup's traffic counters and event.
             self.cache.hits += hits
@@ -1313,13 +1401,19 @@ class CrowdScheduler:
                 )
         assert ticket.platform is not None
         for label, count, unit_cost in record["charges"]:
-            ticket.platform.ledger.charge(str(label), int(count), float(unit_cost))
-            self.replayed_operations += int(count)
-            self.replayed_money += int(count) * float(unit_cost)
+            ticket.platform.ledger.charge(label, count, float(unit_cost))
+            self.replayed_operations += count
+            self.replayed_money += count * float(unit_cost)
         if record["platform"] is not None:
-            _restore_platform_state(ticket.platform, record["platform"])
+            try:
+                _restore_platform_state(ticket.platform, record["platform"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(record, "platform", f"cannot be restored: {exc!r}") from exc
         if len(miss):
-            report = _report_from_state(record["report"])
+            try:
+                report = _report_from_state(record["report"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(record, "report", f"cannot be rebuilt: {exc!r}") from exc
             if self.cache is not None:
                 # Replay rebuilds the store from records the original
                 # run already journaled; there is nothing new to append.
@@ -1329,7 +1423,7 @@ class CrowdScheduler:
                     request.judgments_per_task,
                     request.indices_i[miss],
                     request.indices_j[miss],
-                    decode_flags(record["fresh"], len(miss)),
+                    serve.fresh,
                 )
         else:
             report = _all_hit_report(answers)
@@ -1339,7 +1433,7 @@ class CrowdScheduler:
                 "resume_replayed",
                 job_index=ticket.index,
                 pool=request.pool_name,
-                seq=record.get("seq"),
+                seq=record["seq"],
                 tasks=request.size,
                 misses=len(miss),
             )

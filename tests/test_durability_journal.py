@@ -15,6 +15,7 @@ from repro.durability import DurabilityError, JobJournal
 from repro.durability.journal import (
     decode_flags,
     decode_indices,
+    digest_pairs,
     encode_flags,
     encode_indices,
 )
@@ -119,3 +120,13 @@ class TestArrayCodec:
     def test_flag_count_mismatch_raises_typed_error(self):
         with pytest.raises(DurabilityError):
             decode_flags(encode_flags(np.ones(9, dtype=bool)), 8)
+
+    def test_pairs_digest_binds_order_orientation_and_length(self):
+        i, j = np.array([0, 5, 2]), np.array([1, 3, 4])
+        digest = digest_pairs(i, j)
+        assert len(digest) == 32 and int(digest, 16) >= 0
+        assert digest_pairs(i.astype(np.int32), j.astype(np.int32)) == digest
+        assert digest_pairs(j, i) != digest
+        assert digest_pairs(i[::-1], j[::-1]) != digest
+        assert digest_pairs(i[:2], j[:2]) != digest
+        assert digest_pairs(i[:0], j[:0]) != digest_pairs(i[:1], j[:1])

@@ -1,4 +1,4 @@
-"""Differential tests: the columnar cross-job cache against a per-pair model.
+"""Differential tests: the sorted-column cross-job cache against a per-pair model.
 
 :class:`ReferenceCache` is the cache as it was first written — one dict
 entry per ``(fingerprint, pool, judgments, lo, hi)`` key, one Python
@@ -8,7 +8,10 @@ with reversed orientations, ``i > j`` and duplicate pairs inside one
 batch, must give identical hit masks, answers, lengths, counters and
 eviction counts on :class:`ComparisonMemoCache` and
 :class:`DurableComparisonCache`; a durable cache reopened from its
-store must hold exactly its in-memory image.
+store must hold exactly its in-memory image.  One segment is also grown
+past several thousand pairs by small batches that overwrite, re-store
+and interleave the codes it holds, which is the store's merge path; the
+durable cache must then write exactly the pairs whose answer changed.
 """
 
 import numpy as np
@@ -88,10 +91,11 @@ def random_segment(rng):
     )
 
 
-def image(cache):
-    """Every answer ``cache`` holds, probed pair by pair (counters kept)."""
+def image(cache, n=N):
+    """Every answer ``cache`` holds over indices below ``n``, probed pair
+    by pair (counters kept)."""
     hits, misses = cache.hits, cache.misses
-    grid_i, grid_j = np.triu_indices(N)
+    grid_i, grid_j = np.triu_indices(n)
     out = {}
     for fingerprint in FINGERPRINTS:
         for pool in POOLS:
@@ -159,6 +163,103 @@ def test_durable_cache_matches_reference_and_its_store(tmp_path, seed, deferred)
     assert reopened.warm_entries == len(reopened) == len(model)
     assert image(reopened) == model.entries
     assert len(reopened.store) == len(model)
+
+
+#: The segment grown large, and its index range (7,260 unordered pairs).
+LARGE = ("fa", "crowd", 1)
+N_LARGE = 120
+
+
+def mixed_batch(rng, held):
+    """Up to 32 pairs, about 40% of them drawn from ``held`` (an ``(m, 2)``
+    array of pairs already stored) in either orientation, sometimes with
+    a pair repeated inside the batch."""
+    size = int(rng.integers(1, 33))
+    indices_i = rng.integers(0, N_LARGE, size=size)
+    indices_j = rng.integers(0, N_LARGE, size=size)
+    if len(held):
+        old = rng.random(size) < 0.4
+        pairs = held[rng.integers(0, len(held), size=int(old.sum()))]
+        swap = rng.random(len(pairs)) < 0.5
+        indices_i[old] = np.where(swap, pairs[:, 1], pairs[:, 0])
+        indices_j[old] = np.where(swap, pairs[:, 0], pairs[:, 1])
+    if size > 1 and rng.random() < 0.3:
+        indices_i[-1], indices_j[-1] = indices_j[0], indices_i[0]
+    return indices_i, indices_j
+
+
+def grow(cache, model, seed, batches=600, written=None):
+    """Grow :data:`LARGE` in ``cache`` and ``model`` by small mixed
+    batches, comparing lookups after each one.
+
+    With ``written`` (a callable returning ``{key: lo_wins}`` of what the
+    durable cache wrote to its store for the batch), also check that
+    the write set is exactly the pairs whose answer the batch changed in
+    the model: new pairs and overwritten ones, not re-stored ones.
+    """
+    rng = np.random.default_rng(seed)
+    held = np.zeros((0, 2), dtype=np.int64)
+    for _ in range(batches):
+        indices_i, indices_j = mixed_batch(rng, held)
+        answers = rng.random(len(indices_i)) < 0.5
+        keys = {
+            model.key(*LARGE, int(i), int(j))[0] for i, j in zip(indices_i, indices_j)
+        }
+        before = {key: model.entries.get(key) for key in keys}
+        cache.store_batch(*LARGE, indices_i, indices_j, answers)
+        model.store_batch(*LARGE, indices_i, indices_j, answers)
+        held = np.concatenate([held, np.column_stack([indices_i, indices_j])])
+        if written is not None:
+            changed = {
+                key: model.entries[key] for key in keys if model.entries[key] != before[key]
+            }
+            assert written() == changed
+        probe_i, probe_j = mixed_batch(rng, held)
+        got = cache.lookup_batch(*LARGE, probe_i, probe_j)
+        want = model.lookup_batch(*LARGE, probe_i, probe_j)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert len(cache) == len(model)
+    assert len(model) > 3000
+    assert image(cache, N_LARGE) == model.entries
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_memo_cache_merges_a_large_segment(seed):
+    grow(ComparisonMemoCache(), ReferenceCache(), seed)
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["write-through", "deferred"])
+def test_durable_cache_writes_exactly_the_changed_pairs(tmp_path, deferred):
+    path = tmp_path / "c.sqlite3"
+    cache = DurableComparisonCache(PersistentComparisonStore(path))
+    cache.deferred = deferred
+    rows = []
+    write_entries = cache.store.write_entries
+
+    def record(segments):
+        rows.extend(
+            ((*key, int(lo), int(hi)), bool(lo_wins))
+            for key, columns in segments.items()
+            for lo, hi, lo_wins in zip(*columns)
+        )
+        return write_entries(segments)
+
+    cache.store.write_entries = record
+
+    def written():
+        if deferred:
+            cache.flush_pending()
+        batch = dict(rows)
+        assert len(batch) == len(rows)
+        rows.clear()
+        return batch
+
+    model = ReferenceCache()
+    grow(cache, model, seed=7, written=written)
+    cache.close()
+    reopened = DurableComparisonCache(PersistentComparisonStore(path))
+    assert image(reopened, N_LARGE) == model.entries
 
 
 def test_replayed_store_writes_nothing_new(tmp_path):

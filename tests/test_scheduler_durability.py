@@ -12,6 +12,10 @@ The resume contract under test (see docs/DURABILITY.md):
   loudly rather than replaying the wrong answers, and closes the store;
 * journals stamped with the removed ``fusion`` fact (either value)
   still resume bit-identically;
+* a serve record whose request differs from the live one (pairs digest,
+  pool, redundancy) is refused with ``JournalMismatchError``, and one
+  that passes its CRC but is malformed with a ``DurabilityError``
+  naming its ``seq`` and field;
 * invalidation evicts from the in-memory cache and the SQLite store
   together.
 """
@@ -20,16 +24,18 @@ import hashlib
 import json
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.durability import (
     JOURNAL_FORMAT,
+    DurabilityError,
     DurabilityPolicy,
     JobJournal,
     JournalMismatchError,
     PersistentComparisonStore,
 )
-from repro.durability.journal import decode_flags, decode_indices
+from repro.durability.journal import decode_flags, decode_indices, encode_flags, encode_indices
 from repro.experiments.bench_durability import run_durable_workload
 from repro.experiments.bench_scheduler import SchedulerWorkload
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
@@ -52,6 +58,52 @@ def run_plain(quantum=16):
     for job in workload.jobs():
         scheduler.submit(job)
     return scheduler.run()
+
+
+def rewrite_journal(path, edit):
+    """Pass every record of the journal at ``path`` through ``edit`` and
+    write the results back as a journal with valid CRCs."""
+    records = JobJournal.recover(path)
+    path.unlink()
+    with JobJournal(path) as journal:
+        journal.begin_group()
+        for record in records:
+            fields = edit({k: v for k, v in record.items() if k != "crc"})
+            journal.append(fields.pop("kind"), **fields)
+        journal.commit_group()
+
+
+def write_v1_journal(path, stamp):
+    """Rewrite the journal at ``path`` in v1's framing, with list-valued
+    arrays and the header's ``format`` replaced by ``stamp`` (dropped
+    when ``None``)."""
+    lines = []
+    for record in JobJournal.recover(path):
+        payload = {k: v for k, v in record.items() if k != "crc"}
+        if payload["kind"] == "header":
+            payload.pop("format")
+            if stamp is not None:
+                payload["format"] = stamp
+        elif payload["kind"] == "serve":
+            miss = decode_indices(payload["miss"])
+            payload["miss"] = miss.tolist()
+            payload["answers"] = decode_flags(
+                payload["answers"], payload["hits"] + len(miss)
+            ).tolist()
+            payload["fresh"] = decode_flags(payload["fresh"], len(miss)).tolist()
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        crc = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+        lines.append(json.dumps({"crc": crc, **payload}, sort_keys=True) + "\n")
+    path.write_text("".join(lines))
+
+
+def buying_serve_seqs(path):
+    """The ``seq`` of every serve record that bought something."""
+    return [
+        r["seq"]
+        for r in JobJournal.recover(path)
+        if r["kind"] == "serve" and len(decode_indices(r["miss"]))
+    ]
 
 
 def fingerprints(outcomes):
@@ -192,16 +244,13 @@ class TestResume:
             writer.submit(job)
         first = writer.run()
         journal_path = state / "journal.jsonl"
-        records = JobJournal.recover(journal_path)
-        journal_path.unlink()
-        with JobJournal(journal_path) as journal:
-            journal.begin_group()
-            for record in records:
-                fields = {k: v for k, v in record.items() if k not in ("crc", "kind")}
-                if record["kind"] == "header":
-                    fields["fusion"] = fusion
-                journal.append(record["kind"], **fields)
-            journal.commit_group()
+
+        def stamp(record):
+            if record["kind"] == "header":
+                record["fusion"] = fusion
+            return record
+
+        rewrite_journal(journal_path, stamp)
         assert JobJournal.recover(journal_path)[0]["fusion"] is fusion
         resumed, sched, _ = run_durable_workload(make_workload(), state)
         assert fingerprints(resumed) == fingerprints(first)
@@ -215,35 +264,39 @@ class TestResume:
         with pytest.raises(JournalMismatchError):
             run_durable_workload(other, state)
 
-    @pytest.mark.parametrize("stamp", [None, "repro.journal/v1"], ids=["unstamped", "v1"])
+    @pytest.mark.parametrize(
+        "stamp",
+        [None, "repro.journal/v1", "repro.journal/v2"],
+        ids=["unstamped", "v1", "v2"],
+    )
     def test_journal_rejects_other_format(self, tmp_path, stamp):
-        """A journal written the way v1 wrote it — list-valued arrays, a
-        header without a ``format`` stamp, lines framed as
-        ``json.dumps(record, sort_keys=True)`` — recovers intact but is
-        refused at the header rather than replayed, and left as it was."""
+        """A journal in an older format recovers intact but is refused at
+        the header rather than replayed, and left as it was.
+
+        The v1 and unstamped cases are written the way v1 wrote them:
+        list-valued arrays, a header without a ``format`` stamp (or with
+        v1's), lines framed as ``json.dumps(record, sort_keys=True)``.  A
+        v1 serve record listed ``indices_i`` / ``indices_j``, which a v3
+        record no longer holds, so the rebuilt lines list what it does
+        hold (``miss``, ``answers``, ``fresh``) and keep the ``pairs``
+        digest.  The v2 case re-frames the v3 records as they stand under
+        a v2 header (v2 framed lines as v3 does).  The header refusal
+        never reads a serve record's arrays."""
         state = tmp_path / "state"
         run_durable_workload(make_workload(), state)
         journal_path = state / "journal.jsonl"
-        lines = []
-        for record in JobJournal.recover(journal_path):
-            payload = {k: v for k, v in record.items() if k != "crc"}
-            if payload["kind"] == "header":
-                payload.pop("format")
-                if stamp is not None:
-                    payload["format"] = stamp
-            elif payload["kind"] == "serve":
-                miss = decode_indices(payload["miss"])
-                for name in ("indices_i", "indices_j", "miss"):
-                    payload[name] = decode_indices(payload[name]).tolist()
-                payload["answers"] = decode_flags(
-                    payload["answers"], len(payload["indices_i"])
-                ).tolist()
-                payload["fresh"] = decode_flags(payload["fresh"], len(miss)).tolist()
-            body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            crc = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-            lines.append(json.dumps({"crc": crc, **payload}, sort_keys=True) + "\n")
-        journal_path.write_text("".join(lines))
-        assert len(JobJournal.recover(journal_path)) == len(lines)
+        if stamp == "repro.journal/v2":
+
+            def restamp(record):
+                if record["kind"] == "header":
+                    record["format"] = stamp
+                return record
+
+            rewrite_journal(journal_path, restamp)
+        else:
+            write_v1_journal(journal_path, stamp)
+        count = len(journal_path.read_text().splitlines())
+        assert len(JobJournal.recover(journal_path)) == count
         written = journal_path.read_bytes()
         with pytest.raises(JournalMismatchError) as info:
             run_durable_workload(make_workload(), state)
@@ -257,6 +310,104 @@ class TestResume:
         run_durable_workload(make_workload(), state)
         records = JobJournal.recover(state / "journal.jsonl")
         assert sum(1 for r in records if r["kind"] == "header") == 1
+
+
+def edit_serve(seq, change):
+    """A journal edit applying ``change`` to the serve record ``seq``."""
+
+    def edit(record):
+        if record["kind"] == "serve" and record["seq"] == seq:
+            change(record)
+        return record
+
+    return edit
+
+
+def out_of_range_miss(record):
+    miss = decode_indices(record["miss"])
+    miss[-1] = record["hits"] + len(miss)
+    record["miss"] = encode_indices(miss)
+
+
+def decreasing_miss(record):
+    miss = decode_indices(record["miss"])
+    miss[-2:] = miss[-2:][::-1].copy()
+    record["miss"] = encode_indices(miss)
+
+
+def long_fresh(record):
+    record["fresh"] = encode_flags(np.zeros(len(decode_indices(record["miss"])) + 8, dtype=bool))
+
+
+class TestReplayChecks:
+    """A rewritten, re-CRC'd journal reaches the per-record checks that
+    run after the header matched."""
+
+    def journal(self, tmp_path):
+        state = tmp_path / "state"
+        run_durable_workload(make_workload(), state)
+        return state, state / "journal.jsonl"
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda r: r.pop("miss"), "miss"),
+            (lambda r: r.pop("hits"), "hits"),
+            (out_of_range_miss, "miss"),
+            (decreasing_miss, "miss"),
+            (long_fresh, "fresh"),
+            (lambda r: r.update(hits=str(r["hits"])), "hits"),
+            (lambda r: r.update(report=None), "report"),
+            (lambda r: r.update(charges=[["crowd", 1]]), "charges"),
+        ],
+        ids=[
+            "no-miss",
+            "no-hits",
+            "miss-out-of-range",
+            "miss-not-increasing",
+            "fresh-length",
+            "hits-type",
+            "no-report",
+            "charge-shape",
+        ],
+    )
+    def test_malformed_serve_record_raises_typed_error(self, tmp_path, change, field):
+        state, journal_path = self.journal(tmp_path)
+        seq = buying_serve_seqs(journal_path)[1]
+        rewrite_journal(journal_path, edit_serve(seq, change))
+        with pytest.raises(DurabilityError, match=rf"seq={seq}: '{field}'") as info:
+            run_durable_workload(make_workload(), state)
+        assert not isinstance(info.value, JournalMismatchError)
+
+    def test_swapped_pairs_digest_is_refused(self, tmp_path):
+        state, journal_path = self.journal(tmp_path)
+        serves = [r for r in JobJournal.recover(journal_path) if r["kind"] == "serve"]
+        victim = serves[0]
+        other = next(r for r in serves if r["pairs"] != victim["pairs"])
+        rewrite_journal(
+            journal_path,
+            edit_serve(victim["seq"], lambda r: r.update(pairs=other["pairs"])),
+        )
+        with pytest.raises(JournalMismatchError) as info:
+            run_durable_workload(make_workload(), state)
+        assert info.value.field == "request.pairs"
+        assert (info.value.recorded, info.value.actual) == (other["pairs"], victim["pairs"])
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda r: r.update(pool="experts" if r["pool"] == "crowd" else "crowd"), "pool"),
+            (lambda r: r.update(judgments=r["judgments"] + 1), "judgments"),
+        ],
+        ids=["pool", "judgments"],
+    )
+    def test_request_mismatch_is_refused(self, tmp_path, change, field):
+        state, journal_path = self.journal(tmp_path)
+        seq = buying_serve_seqs(journal_path)[0]
+        rewrite_journal(journal_path, edit_serve(seq, change))
+        with pytest.raises(JournalMismatchError) as info:
+            run_durable_workload(make_workload(), state)
+        assert info.value.field == f"request.{field}"
 
 
 class TestGroupCommit:
