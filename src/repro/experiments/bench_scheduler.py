@@ -12,7 +12,8 @@ conventionally stored at ``results/BENCH_scheduler.json``:
   scheduler would assign;
 * **scheduled_fused** — the cooperative loop over shared pools with
   fused tick settlement: all fast-path-eligible requests of a tick
-  settled in one platform pass per (pool, worker-model) group,
+  settled in one platform pass per pool (one decide call per worker
+  model),
   verified *bit-identical* to the isolated baseline before any timing
   is reported (the determinism contract of ``docs/SCHEDULER.md``);
 * **scheduled_cached** — fused settlement plus the cross-job memo

@@ -21,7 +21,7 @@ from .faults import FaultPlan, RetryPolicy
 from .gold import GoldPair, GoldPolicy
 from .job import BatchReport, ComparisonTask, Judgment, TaskReport
 from .oracle_adapter import PlatformWorkerModel
-from .platform import CrowdPlatform, FastBatchPlan, fast_model_groups
+from .platform import CrowdPlatform, FastBatch, FastBatchPlan, fast_model_groups
 from .reliability import ReliabilityReport, score_workers, select_experts
 from .workforce import SimulatedWorker, WorkerPool
 
@@ -33,6 +33,7 @@ __all__ = [
     "CostLedger",
     "CrowdPlatform",
     "DegradedBatchError",
+    "FastBatch",
     "FastBatchPlan",
     "FaultPlan",
     "GoldPair",

@@ -32,6 +32,7 @@ path is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .gold import GoldPolicy
 from .job import BatchReport, ComparisonTask, Judgment, TaskReport
 from .workforce import SimulatedWorker, WorkerPool
 
-__all__ = ["CrowdPlatform", "FastBatchPlan", "fast_model_groups"]
+__all__ = ["CrowdPlatform", "FastBatch", "FastBatchPlan", "fast_model_groups"]
 
 #: Graceful defaults: unlimited attempts, no deadline, settle degraded.
 _DEFAULT_RETRY = RetryPolicy()
@@ -107,20 +108,45 @@ class _BatchState:
 
 
 @dataclass
-class FastBatchPlan:
-    """Array-level state of one prepared fast-path batch.
+class FastBatch:
+    """One platform's request in a fused fast-path pass over a pool.
 
-    ``fast_batch_prepare`` reserves this batch's slice of the
-    platform's Philox judgment stream and computes everything that
-    depends only on the platform's own counters: which uniforms each
-    judgment reads, which worker position it lands on, and the flipped
-    pair each worker is shown.  The plan can then be *decided* (the
-    only model-dependent part) and *finalized* (majority answers,
-    charges, counters) separately — which is what lets the scheduler
-    fuse many tenants' plans into one decide call per worker model
-    while each tenant keeps its own counter stream.
+    ``required[k]`` judgments are bought for the pair
+    ``(index_first[k], index_second[k])``, shown with their values.
+    ``tasks``, when given, are the batch's :class:`ComparisonTask`
+    objects; the finalize then also writes the per-judgment audit trail
+    (judgment log, per-task reports, listed answers) that
+    ``submit_batch`` promises.
     """
 
+    platform: "CrowdPlatform"
+    index_first: np.ndarray
+    index_second: np.ndarray
+    values_first: np.ndarray
+    values_second: np.ndarray
+    required: np.ndarray
+    tasks: list[ComparisonTask] | None = None
+
+
+@dataclass
+class FastBatchPlan:
+    """Array-level state of one prepared fast-path pass over a pool.
+
+    ``fast_batch_prepare`` reserves each batch's slice of its own
+    platform's Philox judgment stream and lays the batches out end to
+    end: which uniforms each judgment reads, which worker position it
+    lands on, and the flipped pair each worker is shown.  The plan is
+    then *decided* (the only model-dependent part) and *finalized*
+    (majority answers, charges, counters) as one unit — which is what
+    lets the scheduler settle many tenants' requests for a pool with
+    one pass while each tenant keeps its own counter stream.  Batch
+    ``b`` owns tasks ``task_bounds[b]:task_bounds[b + 1]`` and
+    judgments ``judgment_bounds[b]:judgment_bounds[b + 1]``.
+    """
+
+    batches: list[FastBatch]
+    task_bounds: list[int]
+    judgment_bounds: list[int]
     n_tasks: int
     required: np.ndarray
     task_of: np.ndarray
@@ -435,111 +461,129 @@ class CrowdPlatform:
             return False
         return self._fast_path_state_ok(pool, policy, judgments_per_task)
 
-    def _fast_uniforms(self, start: int, count: int) -> np.ndarray:
-        """Uniform blocks for judgments ``start .. start + count``.
+    def _fast_uniforms(self, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the uniform blocks of judgments ``start ..``.
 
-        One Philox block (4 doubles) per judgment: ``advance(t)`` skips
-        exactly ``t`` blocks, so the variates a judgment consumes are a
-        function of its global sequence number alone — splitting a task
-        stream into different batches cannot change any outcome.
+        ``out`` holds one row per judgment and one Philox block (4
+        doubles) per row: ``advance(t)`` skips exactly ``t`` blocks, so
+        the variates a judgment consumes are a function of its global
+        sequence number alone — splitting a task stream into different
+        batches cannot change any outcome.
         """
         if self._fast_key is None:
             self._fast_key = int(self.rng.integers(0, 2**63))
         bits = np.random.Philox(key=self._fast_key)
         bits.advance(start)
-        return (
-            np.random.Generator(bits)
-            .random(count * _FAST_UNIFORM_WIDTH)
-            .reshape(count, _FAST_UNIFORM_WIDTH)
-        )
+        np.random.Generator(bits).random(out=out.reshape(-1))
 
     def _submit_batch_vectorized(
         self, pool: WorkerPool, tasks: list[ComparisonTask]
     ) -> BatchReport:
         """Settle one fault-free batch from ndarrays, no step loop.
 
-        Workers are assigned round-robin over the global judgment
-        sequence: judgment ``q`` goes to worker ``q mod P``.  A task's
-        judgments are consecutive, so its workers are distinct whenever
-        ``required_judgments <= P`` (checked by ``_fast_path_ok``), and
-        the rotation carries across batches like the step loop's
-        round-robin fairness.
+        A fused pass of one batch that carries its tasks, so the audit
+        trail is written.  Workers are assigned round-robin over the
+        global judgment sequence: judgment ``q`` goes to worker
+        ``q mod P``.  A task's judgments are consecutive, so its workers
+        are distinct whenever ``required_judgments <= P`` (checked by
+        ``_fast_path_ok``), and the rotation carries across batches
+        like the step loop's round-robin fairness.
         """
-        required = np.array([t.required_judgments for t in tasks], dtype=np.intp)
-        plan = self.fast_batch_prepare(
-            pool,
+        batch = FastBatch(
+            self,
             np.array([t.first for t in tasks], dtype=np.intp),
             np.array([t.second for t in tasks], dtype=np.intp),
             np.array([t.value_first for t in tasks]),
             np.array([t.value_second for t in tasks]),
-            required,
-            count_logical_step=False,
+            np.array([t.required_judgments for t in tasks], dtype=np.intp),
+            tasks=tasks,
         )
-        raw = self.fast_batch_decide(pool, plan)
-        _, report = self.fast_batch_finalize(pool, plan, raw, tasks=tasks)
-        return report
+        plan = self.fast_batch_prepare(pool, [batch], count_logical_step=False)
+        (settled,) = self.fast_batch_finalize(pool, plan, self.fast_batch_decide(pool, plan))
+        if isinstance(settled, CostCapError):
+            raise settled
+        return settled[1]
 
+    @staticmethod
     def fast_batch_prepare(
-        self,
-        pool: WorkerPool,
-        index_first: np.ndarray,
-        index_second: np.ndarray,
-        values_first: np.ndarray,
-        values_second: np.ndarray,
-        required: np.ndarray,
-        count_logical_step: bool = True,
+        pool: WorkerPool, batches: list[FastBatch], count_logical_step: bool = True
     ) -> FastBatchPlan:
-        """Reserve this batch's judgment stream and lay out its arrays.
+        """Reserve each batch's judgment stream and lay out one plan.
 
-        Advances ``_fast_seq`` (and, for external callers, the logical
-        step counter — ``submit_batch`` counts its own) and computes
-        everything that depends only on this platform's counters.  The
-        fused scheduler path prepares many tenants' batches up front —
-        each against its own Philox key and sequence — before a single
-        shared decide pass.
+        Each batch advances its own platform's ``_fast_seq`` (and, for
+        external callers, its logical step counter — ``submit_batch``
+        counts its own) and draws its own Philox slice, in batch order.
+        Everything else runs once over the concatenation: the task
+        repeat, the worker rotation (judgment ``q`` of a batch whose
+        platform stood at ``base`` lands on worker ``(base + q) mod P``),
+        the gathers and the presentation flips.  The fused scheduler
+        path passes every tenant's batch for one pool here — one batch
+        per tenant platform — before a single decide pass.
         """
-        workers = pool.workers
-        n_workers = len(workers)
-        n_tasks = len(index_first)
-        if count_logical_step:
-            self.logical_steps += 1
-        n_judgments = int(required.sum())
+        counts = [int(batch.required.sum()) for batch in batches]
+        judgment_bounds = [0, *accumulate(counts)]
+        n_judgments = judgment_bounds[-1]
+        n_workers = len(pool.workers)
+        # Each batch draws straight into its rows of the plan's blocks,
+        # and its workers continue its platform's rotation.
+        drawn = np.empty((n_judgments, _FAST_UNIFORM_WIDTH))
+        cycle = np.resize(np.arange(n_workers, dtype=np.intp), n_workers + max(counts))
+        positions: list[np.ndarray] = []
+        for batch, count, q0 in zip(batches, counts, judgment_bounds):
+            platform = batch.platform
+            if count_logical_step:
+                platform.logical_steps += 1
+            base = platform._fast_seq
+            platform._fast_seq += count
+            platform._fast_uniforms(base, drawn[q0 : q0 + count])
+            positions.append(cycle[base % n_workers :][:count])
+        required = np.concatenate([batch.required for batch in batches])
+        n_tasks = len(required)
         task_of = np.repeat(np.arange(n_tasks, dtype=np.intp), required)
-
-        base = self._fast_seq
-        self._fast_seq += n_judgments
-        uniforms = self._fast_uniforms(base, n_judgments)
-        worker_pos = (base + np.arange(n_judgments)) % n_workers
-
-        vf = np.asarray(values_first)[task_of]
-        vs = np.asarray(values_second)[task_of]
-        i_f = np.asarray(index_first, dtype=np.intp)[task_of]
-        i_s = np.asarray(index_second, dtype=np.intp)[task_of]
-
         # Randomised presentation order per judgment, as in the step
         # loop: the model sees the flipped pair and the answer is
-        # flipped back.
-        flip = uniforms[:, 0] < 0.5
+        # flipped back.  With each task's pair interleaved, judgment
+        # ``q`` is shown slots ``k[q]`` and ``k[q] ^ 1``.
+        flip = drawn[:, 0] < 0.5
+        k = 2 * task_of + flip
+        other = k ^ 1
+
+        def pairs(first: list[np.ndarray], second: list[np.ndarray]) -> np.ndarray:
+            return np.stack((np.concatenate(first), np.concatenate(second)), axis=1).ravel()
+
+        values = pairs(
+            [batch.values_first for batch in batches],
+            [batch.values_second for batch in batches],
+        )
+        indices = pairs(
+            [batch.index_first for batch in batches],
+            [batch.index_second for batch in batches],
+        ).astype(np.intp, copy=False)
         return FastBatchPlan(
+            batches=list(batches),
+            task_bounds=[0, *accumulate(len(batch.required) for batch in batches)],
+            judgment_bounds=judgment_bounds,
             n_tasks=n_tasks,
             required=required,
             task_of=task_of,
             n_judgments=n_judgments,
-            uniforms=uniforms,
-            worker_pos=worker_pos,
+            uniforms=drawn,
+            worker_pos=np.concatenate(positions),
             flip=flip,
-            shown_vi=np.where(flip, vs, vf),
-            shown_vj=np.where(flip, vf, vs),
-            shown_ii=np.where(flip, i_s, i_f),
-            shown_jj=np.where(flip, i_f, i_s),
+            shown_vi=values[k],
+            shown_vj=values[other],
+            shown_ii=indices[k],
+            shown_jj=indices[other],
         )
 
-    def fast_batch_decide(self, pool: WorkerPool, plan: FastBatchPlan) -> np.ndarray:
+    @staticmethod
+    def fast_batch_decide(pool: WorkerPool, plan: FastBatchPlan) -> np.ndarray:
         """Raw model answers for one prepared plan.
 
-        One vectorized decide per distinct worker model; each judgment
-        consumes its own uniform block regardless of grouping, so the
-        grouping order cannot affect outcomes.
+        One vectorized decide per distinct worker model of the pool,
+        over every batch of the plan; each judgment consumes its own
+        uniform block regardless of grouping, so the grouping cannot
+        affect outcomes.
         """
         models, group_of_worker = fast_model_groups(pool)
         model_uniforms = plan.uniforms[:, 1:3]
@@ -569,34 +613,37 @@ class CrowdPlatform:
             )
         return raw
 
+    @staticmethod
     def fast_batch_finalize(
-        self,
-        pool: WorkerPool,
-        plan: FastBatchPlan,
-        raw: np.ndarray,
-        tasks: list[ComparisonTask] | None = None,
-    ) -> tuple[np.ndarray, BatchReport]:
+        pool: WorkerPool, plan: FastBatchPlan, raw: np.ndarray
+    ) -> list[tuple[np.ndarray, BatchReport] | CostCapError]:
         """Majority answers, charges and counters for a decided plan.
 
-        With ``tasks`` the full per-judgment audit trail (judgment log,
-        per-task reports, listed answers) is produced — the serial
-        ``submit_batch`` contract.  Without ``tasks`` (the fused
-        scheduler path, which never reads them) those allocations are
-        skipped and a lightweight report carries the aggregate totals;
-        the answers ndarray is the result either way.  The ledger is
-        charged *before* any counter moves, so a ``CostCapError`` from
-        a capped tenant ledger leaves the same partial state as the
-        serial fast path.
+        The majority (vote count and tie coin) is computed once for the
+        whole plan.  Then each batch is charged on its own platform's
+        ledger, one charge per batch in batch order — so a tenant
+        ledger shared by several batches accumulates exactly as under
+        one-at-a-time service — before that platform's counters move.
+        A batch whose charge raises :class:`CostCapError` keeps the
+        error to itself: its counters and the pool's per-worker tallies
+        do not move, and the later batches still settle.  The tallies
+        of the charged batches are added once at the end.
+
+        Returns one entry per batch: ``(answers, report)``, or the
+        ``CostCapError`` that refused it.  A batch with ``tasks`` gets
+        the full per-judgment audit trail (judgment log, per-task
+        reports, listed answers) — the ``submit_batch`` contract; the
+        fused scheduler path, which never reads them, skips those
+        allocations and gets a report with the aggregate totals.
         """
         workers = pool.workers
         n_workers = len(workers)
-        n_judgments = plan.n_judgments
         first_wins = raw ^ plan.flip
 
         # Majority answers; ties use the judgment block's spare coin
         # (the task's first judgment), never the platform RNG.
         votes_first = np.bincount(plan.task_of[first_wins], minlength=plan.n_tasks)
-        first_row = np.concatenate(([0], np.cumsum(plan.required)[:-1]))
+        first_row = np.cumsum(plan.required) - plan.required
         tie_coin = plan.uniforms[first_row, 3] < 0.5
         answers = np.where(
             2 * votes_first == plan.required, tie_coin, 2 * votes_first > plan.required
@@ -605,68 +652,82 @@ class CrowdPlatform:
         # Bookkeeping parity with the step loop: charges, physical
         # steps, per-worker tallies, and the audit log all match what
         # an all-active round-robin collection would record.
-        self.ledger.charge(pool.name, n_judgments, pool.cost_per_judgment)
-        physical_steps = -(-n_judgments // n_workers)
-        self.physical_steps_total += physical_steps
-        self.fast_batches_total += 1
-        per_worker = np.bincount(plan.worker_pos, minlength=n_workers)
-        for pos, worker in enumerate(workers):
-            worker.judgments_made += int(per_worker[pos])
-
-        answers_list: list[bool] = []
-        task_reports: list[TaskReport] = []
-        if tasks is not None:
-            steps = np.arange(n_judgments) // n_workers + 1
-            worker_ids = np.array([w.worker_id for w in workers], dtype=np.intp)
-            judgment_workers = worker_ids[plan.worker_pos]
-            self.judgment_log.extend(
-                Judgment(
-                    task_id=tasks[plan.task_of[q]].task_id,
-                    worker_id=int(judgment_workers[q]),
-                    first_wins=bool(first_wins[q]),
-                    physical_step=int(steps[q]),
-                    is_gold=False,
+        settled: list[tuple[np.ndarray, BatchReport] | CostCapError] = []
+        charged = np.ones(plan.n_judgments, dtype=bool)
+        for b, batch in enumerate(plan.batches):
+            platform = batch.platform
+            t0, t1 = plan.task_bounds[b], plan.task_bounds[b + 1]
+            q0, q1 = plan.judgment_bounds[b], plan.judgment_bounds[b + 1]
+            n_judgments = q1 - q0
+            try:
+                platform.ledger.charge(pool.name, n_judgments, pool.cost_per_judgment)
+            except CostCapError as exc:
+                settled.append(exc)
+                charged[q0:q1] = False
+                continue
+            physical_steps = -(-n_judgments // n_workers)
+            platform.physical_steps_total += physical_steps
+            platform.fast_batches_total += 1
+            answers_list: list[bool] = []
+            task_reports: list[TaskReport] = []
+            if batch.tasks is not None:
+                tasks = batch.tasks
+                steps = np.arange(n_judgments) // n_workers + 1
+                worker_ids = np.array([w.worker_id for w in workers], dtype=np.intp)
+                judgment_workers = worker_ids[plan.worker_pos[q0:q1]]
+                task_of = plan.task_of[q0:q1] - t0
+                platform.judgment_log.extend(
+                    Judgment(
+                        task_id=tasks[task_of[q]].task_id,
+                        worker_id=int(judgment_workers[q]),
+                        first_wins=bool(first_wins[q0 + q]),
+                        physical_step=int(steps[q]),
+                        is_gold=False,
+                    )
+                    for q in range(n_judgments)
                 )
-                for q in range(n_judgments)
-            )
-            answers_list = [bool(a) for a in answers]
-            task_reports = [
-                TaskReport(
-                    task_id=task.task_id,
-                    status="ok",
-                    reason="",
-                    judgments_kept=task.required_judgments,
-                    required_judgments=task.required_judgments,
-                    attempts_failed=0,
+                answers_list = answers[t0:t1].tolist()
+                task_reports = [
+                    TaskReport(
+                        task_id=task.task_id,
+                        status="ok",
+                        reason="",
+                        judgments_kept=task.required_judgments,
+                        required_judgments=task.required_judgments,
+                        attempts_failed=0,
+                    )
+                    for task in tasks
+                ]
+            if platform.tracer.enabled:
+                platform.tracer.event(
+                    "platform_batch",
+                    pool=pool.name,
+                    tasks=t1 - t0,
+                    physical_steps=physical_steps,
+                    judgments_collected=n_judgments,
+                    judgments_discarded=0,
+                    workers_banned=0,
+                    faults_injected=0,
+                    tasks_degraded=0,
+                    fast_path=True,
                 )
-                for task in tasks
-            ]
-        if self.tracer.enabled:
-            self.tracer.event(
-                "platform_batch",
-                pool=pool.name,
-                tasks=plan.n_tasks,
+            report = BatchReport(
+                answers=answers_list,
                 physical_steps=physical_steps,
                 judgments_collected=n_judgments,
                 judgments_discarded=0,
-                workers_banned=0,
+                workers_banned=[],
+                task_reports=task_reports,
                 faults_injected=0,
-                tasks_degraded=0,
-                fast_path=True,
+                judgments_malformed=0,
+                judgments_lost_late=0,
+                retries=0,
             )
-        report = BatchReport(
-            answers=answers_list,
-            physical_steps=physical_steps,
-            judgments_collected=n_judgments,
-            judgments_discarded=0,
-            workers_banned=[],
-            task_reports=task_reports,
-            faults_injected=0,
-            judgments_malformed=0,
-            judgments_lost_late=0,
-            retries=0,
-        )
-        return np.asarray(answers, dtype=bool), report
+            settled.append((answers[t0:t1], report))
+        per_worker = np.bincount(plan.worker_pos[charged], minlength=n_workers)
+        for worker, count in zip(workers, per_worker.tolist()):
+            worker.judgments_made += count
+        return settled
 
     # ------------------------------------------------------------------
     # Batch execution internals

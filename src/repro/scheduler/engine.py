@@ -26,12 +26,12 @@ parked, the scheduler runs one *tick* of its virtual clock:
 3. **Settle** — each admitted request is resolved against the
    cross-job :class:`~repro.scheduler.cache.ComparisonMemoCache`
    first; the misses are bought from the platform.  Fast-path-eligible
-   requests are **fused**: every tenant prepares its own Philox
-   judgment plan (its private counter stream), then all judgments of
-   the tick are decided with one vectorized call per (pool, worker
-   model), then charges / counters / journal records land per tenant
-   in admission order — bit-identical to serving the requests one by
-   one, but with one platform pass per tick.  Requests the fast path
+   requests are **fused**: the tick's requests for a pool become one
+   plan — each tenant still draws from its own Philox counter stream —
+   which is decided with one vectorized call per worker model and
+   finalized once, while charges / counters / journal records land per
+   tenant in admission order — bit-identical to serving the requests
+   one by one, but with one platform pass per pool.  Requests the fast path
    cannot take (gold probes, fault plans, capped ledgers, fallback
    pools) are bought alone through the platform's ``compare_batch``.
    Journaled runs frame the whole tick's records into one group commit
@@ -71,6 +71,8 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import groupby
 from typing import Any, Callable, Literal
 
 import numpy as np
@@ -99,7 +101,7 @@ from ..platform.faults import FaultPlan, RetryPolicy
 from ..platform.gold import GoldPolicy
 from ..platform.job import BatchReport, TaskReport
 from ..platform.oracle_adapter import PlatformWorkerModel
-from ..platform.platform import CrowdPlatform, FastBatchPlan, fast_model_groups
+from ..platform.platform import CrowdPlatform, FastBatch, FastBatchPlan
 from ..platform.workforce import WorkerPool
 from ..jobs import BudgetExceededError, CrowdJobResult, CrowdMaxJob
 from ..telemetry import NULL_TRACER, Tracer, resolve_tracer
@@ -1096,60 +1098,61 @@ class CrowdScheduler:
         pending: list[_Lookup],
         pending_keys: dict[Segment, set[int]],
     ) -> None:
-        """Settle the buffered requests in one fused platform pass.
+        """Settle the buffered requests in one fused pass per pool.
 
-        Three sub-phases, all order-deterministic:
+        The buffer is cut into runs of consecutive requests for the same
+        pool (admission groups a tick's requests by pool, so that is one
+        run per pool), and each run is one plan with one batch per
+        tenant.  Three sub-phases, all order-deterministic:
 
-        1. *prepare* — each tenant platform reserves its own Philox
-           judgment slice (``fast_batch_prepare``), in admission order,
-           exactly as a serial serve would have;
-        2. *decide* — judgments are concatenated across tenants per
-           (pool, worker model) and resolved with **one** vectorized
-           ``decide_from_uniforms`` call per group.  Each judgment
-           carries its own pre-drawn uniforms, so grouping cannot
-           change any answer — this is where the fusion speedup lives;
-        3. *finalize* — charges, counters, journal records, and cache
-           stores land per tenant in admission order, so ledger float
-           accumulation and journal layout are bit-identical to
-           one-at-a-time service.  A tenant whose finalize raises (a
-           budget cap) keeps the error to itself; later tenants still
-           settle, exactly as they would have serially.
+        1. *prepare* — ``fast_batch_prepare`` reserves each tenant
+           platform's own Philox judgment slice, in admission order,
+           exactly as a serial serve would have, and lays the run out
+           as one plan;
+        2. *decide* — ``_fused_decide`` answers each plan with **one**
+           vectorized ``decide_from_uniforms`` call per worker model.
+           Each judgment carries its own pre-drawn uniforms, so grouping
+           cannot change any answer;
+        3. *finalize* — ``fast_batch_finalize`` takes the majority once
+           per plan and charges each tenant in admission order; then
+           journal records and cache stores land per tenant in the same
+           order, so ledger float accumulation and journal layout are
+           bit-identical to one-at-a-time service.  A tenant whose
+           charge is refused (a budget cap) keeps the error to itself;
+           later tenants still settle, exactly as they would have
+           serially.
         """
         if not pending:
             return
-        pools: list[WorkerPool] = []
-        plans: list[FastBatchPlan] = []
-        for p in pending:
-            platform = p.ticket.platform
-            assert platform is not None
-            pool = platform.pools[p.request.pool_name]
-            required = np.full(
-                len(p.miss), p.request.judgments_per_task, dtype=np.intp
-            )
-            plans.append(
-                platform.fast_batch_prepare(
-                    pool,
-                    p.request.indices_i[p.miss],
-                    p.request.indices_j[p.miss],
-                    p.request.values_i[p.miss],
-                    p.request.values_j[p.miss],
-                    required,
+        runs: list[tuple[list[_Lookup], WorkerPool, FastBatchPlan]] = []
+        for pool_name, run in groupby(pending, key=lambda p: p.request.pool_name):
+            lookups = list(run)
+            pool = self.pools[pool_name]
+            batches = []
+            for p in lookups:
+                assert p.ticket.platform is not None
+                batches.append(
+                    FastBatch(
+                        p.ticket.platform,
+                        p.request.indices_i[p.miss],
+                        p.request.indices_j[p.miss],
+                        p.request.values_i[p.miss],
+                        p.request.values_j[p.miss],
+                        np.full(len(p.miss), p.request.judgments_per_task, dtype=np.intp),
+                    )
                 )
-            )
-            pools.append(pool)
-        raws = self._fused_decide(pools, plans)
-        for p, pool, plan, raw in zip(pending, pools, plans, raws):
-            platform = p.ticket.platform
-            assert platform is not None
+            runs.append((lookups, pool, CrowdPlatform.fast_batch_prepare(pool, batches)))
+        raws = self._fused_decide([(pool, plan) for _, pool, plan in runs])
+        for (lookups, pool, plan), raw in zip(runs, raws):
             self._settle_bought(
-                p, lambda: platform.fast_batch_finalize(pool, plan, raw)
+                lookups, partial(CrowdPlatform.fast_batch_finalize, pool, plan, raw)
             )
         if self.tracer.enabled:
             self.tracer.event(
                 "batch_fused",
                 requests=len(pending),
                 tasks=int(sum(len(p.miss) for p in pending)),
-                judgments=int(sum(plan.n_judgments for plan in plans)),
+                judgments=int(sum(plan.n_judgments for _, _, plan in runs)),
                 pools=sorted({p.request.pool_name for p in pending}),
                 jobs=[p.ticket.index for p in pending],
             )
@@ -1157,74 +1160,16 @@ class CrowdScheduler:
         pending_keys.clear()
 
     @staticmethod
-    def _fused_decide(
-        pools: list[WorkerPool], plans: list[FastBatchPlan]
-    ) -> list[np.ndarray]:
-        """Raw model answers for many tenants' plans, fused per model.
+    def _fused_decide(plans: list[tuple[WorkerPool, FastBatchPlan]]) -> list[np.ndarray]:
+        """Raw model answers for each pool plan of a flush.
 
-        Pools are shared objects across tenant views, so grouping by
-        ``(pool identity, model group)`` concatenates every tenant's
-        judgments for the same worker model into one decide call.
-        ``decide_from_uniforms`` is element-wise (each judgment reads
-        only its own row), so the fused answers are bit-identical to
-        per-plan decides.
+        A plan already holds every tenant's judgments for its pool, so
+        ``fast_batch_decide`` makes one ``decide_from_uniforms`` call
+        per worker model of the pool.  That call is element-wise (each
+        judgment reads only its own row), so the answers are
+        bit-identical to per-request decides.
         """
-        raws = [np.empty(plan.n_judgments, dtype=bool) for plan in plans]
-        group_models: dict[int, tuple[list[Any], np.ndarray]] = {}
-        members: dict[tuple[int, int], list[tuple[int, Any, int]]] = {}
-        for k, plan in enumerate(plans):
-            pool = pools[k]
-            cached = group_models.get(id(pool))
-            if cached is None:
-                cached = fast_model_groups(pool)
-                group_models[id(pool)] = cached
-            models, group_of_worker = cached
-            if len(models) == 1:
-                members.setdefault((id(pool), 0), []).append(
-                    (k, slice(None), plan.n_judgments)
-                )
-                continue
-            judgment_group = group_of_worker[plan.worker_pos]
-            for gid in range(len(models)):
-                rows = np.flatnonzero(judgment_group == gid)
-                if len(rows):
-                    members.setdefault((id(pool), gid), []).append(
-                        (k, rows, len(rows))
-                    )
-        for (pool_key, gid), entries in members.items():
-            model = group_models[pool_key][0][gid]
-            if len(entries) == 1:
-                k, sel, _count = entries[0]
-                plan = plans[k]
-                raws[k][sel] = model.decide_from_uniforms(
-                    plan.shown_vi[sel],
-                    plan.shown_vj[sel],
-                    plan.uniforms[sel, 1:3],
-                    indices_i=plan.shown_ii[sel],
-                    indices_j=plan.shown_jj[sel],
-                )
-                continue
-            raw = np.asarray(
-                model.decide_from_uniforms(
-                    np.concatenate([plans[k].shown_vi[sel] for k, sel, _ in entries]),
-                    np.concatenate([plans[k].shown_vj[sel] for k, sel, _ in entries]),
-                    np.concatenate(
-                        [plans[k].uniforms[sel, 1:3] for k, sel, _ in entries]
-                    ),
-                    indices_i=np.concatenate(
-                        [plans[k].shown_ii[sel] for k, sel, _ in entries]
-                    ),
-                    indices_j=np.concatenate(
-                        [plans[k].shown_jj[sel] for k, sel, _ in entries]
-                    ),
-                ),
-                dtype=bool,
-            )
-            offset = 0
-            for k, sel, count in entries:
-                raws[k][sel] = raw[offset : offset + count]
-                offset += count
-        return raws
+        return [CrowdPlatform.fast_batch_decide(pool, plan) for pool, plan in plans]
 
     def _resume(self, admitted: list[JobTicket]) -> None:
         """Deliver every settled request back to its job, in admission
@@ -1264,44 +1209,61 @@ class CrowdScheduler:
         platform, request, miss = lookup.ticket.platform, lookup.request, lookup.miss
         assert platform is not None
         self._settle_bought(
-            lookup,
-            lambda: CrowdPlatform.compare_batch(  # repro-lint: disable=SCH001 -- the lone buy for fast-path-ineligible requests
-                platform,
-                request.pool_name,
-                request.indices_i[miss],
-                request.indices_j[miss],
-                request.values_i[miss],
-                request.values_j[miss],
-                judgments_per_task=request.judgments_per_task,
-            ),
+            [lookup],
+            lambda: [
+                CrowdPlatform.compare_batch(  # repro-lint: disable=SCH001 -- the lone buy for fast-path-ineligible requests
+                    platform,
+                    request.pool_name,
+                    request.indices_i[miss],
+                    request.indices_j[miss],
+                    request.values_i[miss],
+                    request.values_j[miss],
+                    judgments_per_task=request.judgments_per_task,
+                )
+            ],
         )
 
     def _settle_bought(
-        self, lookup: _Lookup, buy: Callable[[], tuple[np.ndarray, BatchReport]]
+        self,
+        lookups: list[_Lookup],
+        buy: Callable[[], list[tuple[np.ndarray, BatchReport] | CostCapError]],
     ) -> None:
-        """Buy ``lookup``'s misses with ``buy`` and record the serve.
+        """Buy the ``lookups``' misses with ``buy`` and record each serve.
 
-        The job's ledger tapes its charges for the journal while ``buy``
-        runs.  A ``buy`` that raises (a budget cap) hands the error to
-        the job and is not journaled: a failed settle settles nothing,
-        so on resume the re-run reaches this batch live (with the
-        restored state) and fails identically.
+        ``buy`` returns one entry per lookup: its fresh answers and
+        report, or the ``CostCapError`` that refused it.  Each job's
+        ledger tapes its charges for the journal while ``buy`` runs.
+        A lookup whose buy raised or was refused (a budget cap) hands
+        the error to its job and is not journaled: a failed settle
+        settles nothing, so on resume the re-run reaches this batch
+        live (with the restored state) and fails identically.
         """
-        assert lookup.ticket.platform is not None
-        ledger = lookup.ticket.platform.ledger
-        tape: list[tuple[str, int, float]] = []
-        if self._journal is not None and isinstance(ledger, _ChainedLedger):
-            ledger.tape = tape
+        ledgers: list[CostLedger] = []
+        tapes: list[list[tuple[str, int, float]]] = []
+        for lookup in lookups:
+            assert lookup.ticket.platform is not None
+            ledger = lookup.ticket.platform.ledger
+            ledgers.append(ledger)
+            tapes.append([])
+            if self._journal is not None and isinstance(ledger, _ChainedLedger):
+                ledger.tape = tapes[-1]
         try:
-            fresh, report = buy()
+            bought = buy()
         except BaseException as exc:  # repro-lint: disable=ERR003 -- tunnelled to (and re-raised in) the job at its yield point
-            lookup.request.error = exc
+            for lookup in lookups:
+                lookup.request.error = exc
             return
         finally:
-            if isinstance(ledger, _ChainedLedger):
-                ledger.tape = None
-        lookup.answers[lookup.miss] = fresh
-        self._record_serve(lookup, fresh, report, tape)
+            for ledger in ledgers:
+                if isinstance(ledger, _ChainedLedger):
+                    ledger.tape = None
+        for lookup, settled, tape in zip(lookups, bought, tapes):
+            if isinstance(settled, CostCapError):
+                lookup.request.error = settled
+                continue
+            fresh, report = settled
+            lookup.answers[lookup.miss] = fresh
+            self._record_serve(lookup, fresh, report, tape)
 
     def _record_serve(
         self,

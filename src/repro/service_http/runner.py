@@ -19,10 +19,13 @@ Two pieces of state deliberately outlive a generation:
   generation served it or what shared the schedule.  That invariance
   is the HTTP↔in-process parity contract ``bench-service`` gates on.
 
-Per-job telemetry is bridged live: an :class:`_EventBridgeSink`
-forwards every scheduler record carrying a ``job_index`` to the owning
-job's event stream (the ``/events`` endpoint), optionally teeing into
-a host-provided sink.
+Per-job telemetry is bridged per generation: an
+:class:`_EventBridgeSink` appends every scheduler record carrying a
+``job_index`` to the generation's held events
+(:meth:`ServiceState.hold_events`), which reach the owning jobs' event
+streams (the ``/events`` endpoint) in one loop call when the
+generation ends, before any of its jobs settles.  A host-provided
+sink is teed live.
 """
 
 from __future__ import annotations
@@ -100,13 +103,19 @@ class _EventBridgeSink:
     The scheduler emits live events (``job_admitted``, ``job_settled``,
     ``scheduler_tick``, ...) and replays each job's buffered records
     stamped with ``job_index`` after the run.  Records carrying a
-    ``job_index`` belonging to this generation are published onto that
-    job's ``/events`` stream; everything is also teed to the host sink
-    when one is configured.
+    ``job_index`` belonging to this generation are appended, in
+    emission order, to ``outbox`` — the generation's held events,
+    which ``ServiceState.release_events`` publishes onto their jobs'
+    ``/events`` streams with one loop hand-off.  Everything is also
+    teed to the host sink, as it is written, when one is configured.
     """
 
-    def __init__(self, state: ServiceState, tee: TraceSink | None = None):
-        self._state = state
+    def __init__(
+        self,
+        outbox: list[tuple[JobRecord, dict[str, Any]]],
+        tee: TraceSink | None = None,
+    ):
+        self._outbox = outbox
         self._tee = tee
         #: job_index (this generation) → wire record.
         self.jobs: dict[int, JobRecord] = {}
@@ -119,7 +128,7 @@ class _EventBridgeSink:
             return
         target = self.jobs.get(index)
         if target is not None:
-            self._state.publish(target, dict(record))
+            self._outbox.append((target, dict(record)))
 
     def close(self) -> None:
         pass  # the host owns the teed sink's lifetime
@@ -171,7 +180,7 @@ class ServiceRunner:
     def _run_generation(self, batch: list[JobRecord]) -> None:
         generation = self._state.next_generation()
         bridge = _EventBridgeSink(
-            self._state, tee=getattr(self._tracer, "sink", None)
+            self._state.hold_events(), tee=getattr(self._tracer, "sink", None)
         )
         # The generation tracer always runs through the bridge — the
         # ``/events`` stream works even when the host traces nothing.
@@ -197,10 +206,10 @@ class ServiceRunner:
                         job, tenant=record.tenant, seed=record.spec.seed
                     )
                 except Exception as exc:  # repro-lint: disable=ERR003 -- admission boundary per job
-                    self._state.settle(record, "failed", None, exc, None)
                     self._state.publish(
                         record, {"kind": "job_settled", "status": "failed"}
                     )
+                    self._state.settle(record, "failed", None, exc, None)
                     continue
                 bridge.jobs[ticket.index] = record
                 self._state.mark_running(record, generation, ticket)
@@ -212,9 +221,13 @@ class ServiceRunner:
             try:
                 outcomes = scheduler.run()
             except Exception as exc:  # repro-lint: disable=ERR003 -- generation boundary
+                self._state.release_events()
                 for record in admitted:
                     self._state.settle(record, "failed", None, exc, None)
                 return
+        # Every event of the generation reaches the loop before any
+        # settle sentinel does.
+        self._state.release_events()
         for outcome in outcomes:
             record = bridge.jobs.get(outcome.ticket.index)
             if record is None:

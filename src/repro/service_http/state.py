@@ -14,7 +14,11 @@ Discipline:
 * **event fan-out** (the ``/events`` stream) and the settle
   notification (``asyncio.Event`` behind the result long-poll) are
   marshalled onto the loop with ``call_soon_threadsafe`` — asyncio
-  primitives are only ever touched on the loop thread.
+  primitives are only ever touched on the loop thread.  A running
+  generation's job events are held (:meth:`ServiceState.hold_events`)
+  and handed over in one call when it ends, before any of its jobs
+  settles (:meth:`ServiceState.release_events`), so each job's events
+  precede its settle sentinel.
 
 Backpressure is checked at :meth:`ServiceState.submit` **before** any
 job id, record, or seed exists, so a refused submission costs nothing
@@ -55,7 +59,9 @@ class JobRecord:
         self.error: BaseException | None = None
         self.cost: float | None = None
         #: Set once the runner admitted the job to a scheduler
-        #: generation; the handle cancellation goes through.
+        #: generation; the handle cancellation goes through.  Released
+        #: at settle, so a settled job keeps its result but not the
+        #: job object, tenant platform and tracer behind the ticket.
         self.ticket: JobTicket | None = None
         #: Cooperative cancel flag for the queued→running race: the
         #: runner re-checks it right after submitting to the scheduler.
@@ -93,6 +99,9 @@ class ServiceState:
         self._next_id = 1
         self.generations = 0
         self.settled = 0
+        #: Job events of the generation in flight, in emission order;
+        #: ``None`` between generations.
+        self._held: list[tuple[JobRecord, dict[str, Any]]] | None = None
 
     # ------------------------------------------------------------------
     # Loop-thread API (HTTP handlers)
@@ -135,7 +144,10 @@ class ServiceState:
         A queued job settles as ``"cancelled"`` right here; a running
         one gets the cooperative flag (and its scheduler ticket
         flagged) and settles at its next control point; a settled one
-        is a 409 ``conflict`` — its outcome already stands.
+        is a 409 ``conflict`` — its outcome already stands.  A running
+        job's ``job_cancelled`` event queues behind the records its
+        generation has emitted so far, so the stream keeps emission
+        order.
         """
         with self._lock:
             status = record.status
@@ -144,6 +156,10 @@ class ServiceState:
                     f"job {record.job_id} already settled as {status!r}"
                 )
             record.cancel_requested = True
+            event = {"kind": "job_cancelled", "was": status}
+            held = self._held if status == "running" else None
+            if held is not None:
+                held.append((record, event))
             if status == "queued":
                 record.status = "cancelled"
                 record.error = JobCancelledError(record.job_id)
@@ -154,7 +170,8 @@ class ServiceState:
             ticket = record.ticket
         if ticket is not None:
             ticket.cancel()
-        self.publish(record, {"kind": "job_cancelled", "was": status})
+        if held is None:
+            self.publish(record, event)
         if record.status == "cancelled":
             self._notify_settled(record)
         return record.status
@@ -235,12 +252,13 @@ class ServiceState:
         error: BaseException | None,
         cost: float | None,
     ) -> None:
-        """Record a terminal outcome and wake every waiter."""
+        """Record a terminal outcome, release the ticket, wake every waiter."""
         with self._lock:
             record.status = status
             record.result = result
             record.error = error
             record.cost = cost
+            record.ticket = None
             self.settled += 1
         self._notify_settled(record)
 
@@ -260,15 +278,36 @@ class ServiceState:
         ``call_soon_threadsafe`` so ``record.events`` and the
         subscriber queues are single-threaded.
         """
-        self.loop.call_soon_threadsafe(self._publish_on_loop, record, dict(event))
+        self.loop.call_soon_threadsafe(self._publish_on_loop, [(record, dict(event))])
 
-    def _publish_on_loop(self, record: JobRecord, event: dict[str, Any]) -> None:
-        event["seq"] = len(record.events)
-        record.events.append(event)
-        if len(record.events) > _MAX_EVENTS_PER_JOB:
-            del record.events[: -_MAX_EVENTS_PER_JOB]
-        for queue in list(record.subscribers):
-            queue.put_nowait(event)
+    def hold_events(self) -> list[tuple[JobRecord, dict[str, Any]]]:
+        """Start holding a generation's job events (runner thread).
+
+        Returns the list the generation appends its ``(record, event)``
+        pairs to, in emission order; :meth:`release_events` publishes
+        them.  The event dicts are handed over, not copied.  ``cancel``
+        appends a running job's ``job_cancelled`` to the same list, so
+        it lands where the cancel fell among the generation's records.
+        """
+        with self._lock:
+            self._held = []
+            return self._held
+
+    def release_events(self) -> None:
+        """Publish the held events, in order, with one loop hand-off."""
+        with self._lock:
+            held, self._held = self._held, None
+        if held:
+            self.loop.call_soon_threadsafe(self._publish_on_loop, held)
+
+    def _publish_on_loop(self, events: list[tuple[JobRecord, dict[str, Any]]]) -> None:
+        for record, event in events:
+            event["seq"] = len(record.events)
+            record.events.append(event)
+            if len(record.events) > _MAX_EVENTS_PER_JOB:
+                del record.events[: -_MAX_EVENTS_PER_JOB]
+            for queue in list(record.subscribers):
+                queue.put_nowait(event)
 
     def _notify_settled(self, record: JobRecord) -> None:
         def _set() -> None:

@@ -1,0 +1,264 @@
+"""The service's shared job registry and the runner's event hand-off.
+
+* **event hand-off** — a generation's job-stamped trace records reach
+  each job's ``/events`` buffer in emission order with contiguous
+  ``seq``, all before the job's settle sentinel, through one loop
+  hand-off per generation (not one per record), also when the
+  generation fails;
+* **cancel order** — a job cancelled mid-generation gets its
+  ``job_cancelled`` event where the cancel fell among the generation's
+  records, after ``job_admitted`` and before ``job_settled``, and
+  cancels racing the runner thread lose and duplicate no event;
+* **ticket release** — a settled job keeps its result but drops its
+  scheduler ticket, so the job object, tenant platform and tracer
+  behind it can be collected.
+"""
+
+import asyncio
+import gc
+import sys
+import threading
+import weakref
+from unittest import mock
+
+import pytest
+
+from repro.scheduler import CrowdScheduler
+from repro.service_http import (
+    JobSpec,
+    RemoteServiceError,
+    ServiceClient,
+    ServiceConfig,
+    ServiceServer,
+)
+from repro.service_http.errors import ConflictError
+from repro.service_http.runner import ServiceRunner
+from repro.service_http.state import ServiceState
+
+TOKEN = "test-token"
+TENANT = "acme"
+
+
+def small_spec(seed=7, **overrides):
+    fields = dict(values=tuple(float(v) for v in range(16)), u_n=2, seed=seed)
+    fields.update(overrides)
+    return JobSpec(**fields)
+
+
+async def run_generation(state, runner):
+    """Run one generation over everything queued, on a worker thread."""
+    batch = state.take_batch(64, timeout=0)
+    await asyncio.get_running_loop().run_in_executor(None, runner._run_generation, batch)
+
+
+async def drain(queue):
+    """A subscriber's view: every event up to the settle sentinel."""
+    seen = []
+    while True:
+        event = await asyncio.wait_for(queue.get(), 10.0)
+        if event is None:
+            return seen
+        seen.append(event)
+
+
+class TestEventHandOff:
+    def test_one_generation_is_one_hand_off_in_emission_order(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            state = ServiceState(loop)
+            runner = ServiceRunner(state, ServiceConfig())
+            records = [state.submit(TENANT, small_spec(seed=s)) for s in (1, 2, 3)]
+            queues = [state.subscribe(record) for record in records]
+            await asyncio.sleep(0)  # let the job_queued events land
+            with mock.patch.object(
+                loop, "call_soon_threadsafe", wraps=loop.call_soon_threadsafe
+            ) as spy:
+                await run_generation(state, runner)
+                streams = [await drain(queue) for queue in queues]
+            return records, streams, [c.args[0] for c in spy.call_args_list]
+
+        records, streams, callbacks = asyncio.run(scenario())
+        for record, stream in zip(records, streams):
+            assert record.status == "ok"
+            # The subscriber saw every event, then the end of the stream.
+            assert stream == record.events
+            assert [e["seq"] for e in stream] == list(range(len(stream)))
+            kinds = [e["kind"] for e in stream]
+            assert kinds[0] == "job_queued"
+            assert {"job_admitted", "platform_batch", "job_settled"} <= set(kinds)
+            # The job's own records are replayed in their emission order.
+            job_seqs = [e["job_seq"] for e in stream if "job_seq" in e]
+            assert job_seqs == sorted(job_seqs) and job_seqs
+        trace_records = sum(len(stream) - 1 for stream in streams)
+        settles = [cb for cb in callbacks if cb.__name__ == "_set"]
+        hand_offs = [cb for cb in callbacks if cb.__name__.startswith("_publish")]
+        assert len(settles) == len(records)
+        assert trace_records > 30
+        assert len(hand_offs) == 1, f"{len(hand_offs)} hand-offs for {trace_records} records"
+
+    def test_a_failed_generation_hands_off_its_records_before_settling(self):
+        def failing_run(self):
+            self.tracer.event("job_admitted", job_index=0)
+            raise RuntimeError("generation blew up")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            state = ServiceState(loop)
+            runner = ServiceRunner(state, ServiceConfig())
+            record = state.submit(TENANT, small_spec())
+            queue = state.subscribe(record)
+            with mock.patch.object(CrowdScheduler, "run", failing_run):
+                await run_generation(state, runner)
+            return record, await drain(queue)
+
+        record, stream = asyncio.run(scenario())
+        assert record.status == "failed"
+        assert [e["kind"] for e in stream] == ["job_queued", "job_admitted"]
+
+    def test_an_admission_failure_publishes_before_settling(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            state = ServiceState(loop)
+            runner = ServiceRunner(state, ServiceConfig())
+            record = state.submit(TENANT, small_spec())
+            queue = state.subscribe(record)
+            with mock.patch.object(JobSpec, "build_job", side_effect=ValueError("bad")):
+                await run_generation(state, runner)
+            return record, await drain(queue)
+
+        record, stream = asyncio.run(scenario())
+        assert record.status == "failed"
+        assert [e["kind"] for e in stream] == ["job_queued", "job_settled"]
+
+
+class TestCancelOrder:
+    def test_a_job_cancelled_mid_generation_keeps_emission_order(self):
+        started, resume = threading.Event(), threading.Event()
+        settle_requests = CrowdScheduler._settle_requests
+
+        def paused(self, admitted):
+            # Hold the first tick until the cancel went through.
+            started.set()
+            assert resume.wait(10)
+            return settle_requests(self, admitted)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            state = ServiceState(loop)
+            runner = ServiceRunner(state, ServiceConfig())
+            record = state.submit(TENANT, small_spec())
+            queue = state.subscribe(record)
+            with mock.patch.object(CrowdScheduler, "_settle_requests", paused):
+                generation = loop.run_in_executor(
+                    None, runner._run_generation, state.take_batch(64, timeout=0)
+                )
+                assert await loop.run_in_executor(None, started.wait, 10)
+                assert state.cancel(record) == "running"
+                resume.set()
+                await generation
+            return record, await drain(queue)
+
+        record, stream = asyncio.run(scenario())
+        assert record.status == "cancelled"
+        assert [e["seq"] for e in stream] == list(range(len(stream)))
+        kinds = [e["kind"] for e in stream]
+        assert kinds[:3] == ["job_queued", "job_admitted", "job_cancelled"]
+        assert kinds.index("job_settled") > 2
+        assert stream[kinds.index("job_settled")]["status"] == "cancelled"
+
+    def test_cancels_racing_the_runner_lose_no_event(self):
+        """The loop cancels jobs while the runner thread holds and releases."""
+        TICKS = 100
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        loop = asyncio.new_event_loop()
+        loop_thread = threading.Thread(target=loop.run_forever)
+        loop_thread.start()
+        try:
+            state = ServiceState(loop, max_queued=1000)
+            records = [state.submit(TENANT, small_spec(seed=s)) for s in range(240)]
+            cancels = {record.job_id: 0 for record in records}
+
+            def runner():
+                while batch := state.take_batch(8, timeout=0):
+                    held = state.hold_events()
+                    for record in batch:
+                        state.mark_running(record, 1, None)
+                    for k in range(TICKS):
+                        held.extend((record, {"kind": "tick", "k": k}) for record in batch)
+                    state.release_events()
+                    for record in batch:
+                        state.settle(record, "ok", None, None, 1.0)
+
+            thread = threading.Thread(target=runner)
+
+            async def canceller():
+                # Paced, so cancels land anywhere in a generation, the
+                # hand-off included, and no job passes the event cap.
+                while thread.is_alive():
+                    for record in records[::2]:
+                        if record.status != "running":
+                            continue
+                        try:
+                            state.cancel(record)
+                            cancels[record.job_id] += 1
+                        except ConflictError:
+                            pass  # settled in between
+                    await asyncio.sleep(0.0002)
+
+            thread.start()
+            asyncio.run_coroutine_threadsafe(canceller(), loop).result(60)
+            thread.join(60)
+            assert not thread.is_alive()
+            # Drain the hand-offs queued behind the last settle.
+            asyncio.run_coroutine_threadsafe(asyncio.sleep(0), loop).result(10)
+            for record in records:
+                kinds = [e["kind"] for e in record.events]
+                assert [e["seq"] for e in record.events] == list(range(len(kinds)))
+                assert kinds.count("job_cancelled") == cancels[record.job_id]
+                ticks = [e["k"] for e in record.events if e["kind"] == "tick"]
+                assert ticks == list(range(TICKS))
+            assert sum(cancels.values()) > 20
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            loop_thread.join(10)
+            loop.close()
+            sys.setswitchinterval(interval)
+
+
+class TestTicketRelease:
+    def test_a_settled_job_drops_its_ticket_and_keeps_its_result(self):
+        refs = []
+
+        async def scenario(server, client):
+            mark_running = server.state.mark_running
+
+            def spy(record, generation, ticket):
+                refs.extend([weakref.ref(ticket), weakref.ref(ticket.job)])
+                mark_running(record, generation, ticket)
+
+            server.state.mark_running = spy
+            view = await client.submit_job(small_spec())
+            first = await client.result_envelope(view.job_id, wait=30.0)
+            assert first.status == "ok"
+            for _ in range(100):  # the runner may still be leaving the generation
+                gc.collect()
+                if all(ref() is None for ref in refs):
+                    break
+                await asyncio.sleep(0.05)
+            assert refs and all(ref() is None for ref in refs)
+            again = await client.result_envelope(view.job_id)
+            assert again.result == first.result
+            with pytest.raises(RemoteServiceError) as info:
+                await client.cancel_job(view.job_id)
+            assert (info.value.status, info.value.code) == (409, "conflict")
+
+        async def main():
+            server = ServiceServer(ServiceConfig(port=0, tokens={TOKEN: TENANT}))
+            await server.start()
+            try:
+                await scenario(server, ServiceClient("127.0.0.1", server.port, TOKEN))
+            finally:
+                await server.aclose()
+
+        asyncio.run(main())
