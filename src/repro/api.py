@@ -97,7 +97,6 @@ from .experiments import (
     SweepConfig,
     SweepData,
     load_result,
-    run_bench_comparison,
     run_estimation_sweep,
     run_fault_sweep,
     save_result,
@@ -310,7 +309,6 @@ __all__ = [
     "SweepData",
     "execute_runs",
     "load_result",
-    "run_bench_comparison",
     "run_estimation_sweep",
     "run_fault_sweep",
     "save_result",

@@ -4,15 +4,14 @@ Usage::
 
     repro-analyze [paths ...] [--format text|json] [--select IDS]
                   [--ignore IDS] [--list-rules] [--artifact PATH]
-                  [--history] [--budget [PATH]]
+                  [--budget [PATH]]
 
 Exit codes: ``0`` clean, ``1`` violations (or unparsable files), ``2``
 usage errors.  With no paths, analyzes ``src`` relative to the current
 directory — the repository invocation CI uses.  ``--artifact`` writes
 the call graph + findings atomically (``results/ANALYSIS_graph.json``
-in CI); ``--history`` appends a ``repro.bench_history/v1`` line with
-the findings/suppression counts; ``--budget`` switches to the
-suppression-debt ratchet described in ``docs/STATIC_ANALYSIS.md``.
+in CI); ``--budget`` switches to the suppression-debt ratchet
+described in ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -78,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         " (CI uses results/ANALYSIS_graph.json)",
     )
     parser.add_argument(
-        "--history",
-        action="store_true",
-        help="append findings/suppression counts to results/BENCH_history.jsonl",
-    )
-    parser.add_argument(
         "--budget",
         nargs="?",
         const=DEFAULT_BUDGET_PATH,
@@ -105,25 +99,6 @@ def _write_artifact(path: Path, result: AnalysisResult) -> None:
 
     write_json_atomic(path, build_graph_payload(result))
     print(f"(wrote {path})")
-
-
-def _append_analysis_history(result: AnalysisResult) -> None:
-    """One ``repro.bench_history/v1`` provenance line for trend greps."""
-    from ...cli import _append_history
-
-    _append_history(
-        None,
-        "analyze",
-        {
-            "findings": len(result.report.violations),
-            "parse_errors": len(result.report.parse_errors),
-            "files_scanned": result.report.files_scanned,
-            "modules": len(result.project.modules),
-            "call_edges": len(result.graph.edge_list()),
-            "dead_code": len(result.graph.dead_functions()),
-            "suppressions": sum(result.suppression_counts.values()),
-        },
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -157,8 +132,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.stdout.write(renderer(result.report))
     if args.artifact is not None:
         _write_artifact(args.artifact, result)
-    if args.history:
-        _append_analysis_history(result)
     return 0 if result.report.ok else 1
 
 

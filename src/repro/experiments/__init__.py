@@ -16,20 +16,6 @@ from .accuracy_curves import (
 from .accuracy_vs_n import figure3_from_sweep, run_figure3
 from .base import FigureResult, TableResult, experiment_tracer, failure_notes
 from .baselines import run_baseline_shootout
-from .bench import (
-    bench_identical,
-    bench_table,
-    oracle_bench_table,
-    run_bench_comparison,
-    run_oracle_bench,
-    write_bench_json,
-)
-from .bench_scheduler import (
-    SchedulerWorkload,
-    run_scheduler_bench,
-    scheduler_bench_table,
-    write_scheduler_bench_json,
-)
 from .bounds_check import run_bounds_check
 from .budget_planning import run_budget_planning
 from .comparisons_vs_n import figure4_from_sweep
@@ -79,10 +65,6 @@ __all__ = [
     "SweepData",
     "TableResult",
     "experiment_tracer",
-    "bench_identical",
-    "bench_table",
-    "oracle_bench_table",
-    "run_oracle_bench",
     "compose_report",
     "failure_notes",
     "figure10_from_estimation",
@@ -95,11 +77,6 @@ __all__ = [
     "load_result",
     "run_accuracy_curves",
     "run_baseline_shootout",
-    "run_bench_comparison",
-    "SchedulerWorkload",
-    "run_scheduler_bench",
-    "scheduler_bench_table",
-    "write_scheduler_bench_json",
     "run_bounds_check",
     "run_budget_planning",
     "run_cascade_experiment",
@@ -126,6 +103,5 @@ __all__ = [
     "run_table2_cars",
     "save_result",
     "survival_table",
-    "write_bench_json",
     "write_report",
 ]

@@ -1,7 +1,7 @@
 """Atomic, durable artifact writes — the one tmp+fsync+rename helper.
 
-Every artifact the library publishes (benchmark baselines, experiment
-CSVs, durability outcomes) goes through :func:`write_atomic`:
+Every artifact the library publishes (experiment CSVs, trace files,
+the analysis graph) goes through :func:`write_atomic`:
 
 1. the payload is written to a private temp file *in the target
    directory* (so the final rename never crosses a filesystem),
@@ -32,7 +32,6 @@ __all__ = [
     "write_atomic",
     "write_text_atomic",
     "write_json_atomic",
-    "append_jsonl_atomic",
 ]
 
 
@@ -103,21 +102,3 @@ def write_json_atomic(path: str | Path, payload: object) -> Path:
     return write_text_atomic(
         path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-
-
-def append_jsonl_atomic(path: str | Path, record: dict) -> Path:
-    """Append one compact-JSON record line to a JSONL log, atomically.
-
-    The whole file is rewritten through :func:`write_atomic` (read the
-    existing lines, add one, publish via tmp+fsync+rename), so a crash
-    mid-append leaves either the old log or the extended one — never a
-    torn trailing line.  History logs are small (one line per bench
-    run), so the rewrite cost is negligible; for high-volume appends
-    use :class:`repro.durability.JobJournal` instead.
-    """
-    path = Path(path)
-    existing = path.read_text(encoding="utf-8") if path.exists() else ""
-    if existing and not existing.endswith("\n"):
-        existing += "\n"
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    return write_text_atomic(path, existing + line)

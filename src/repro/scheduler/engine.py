@@ -416,8 +416,9 @@ class JobTicket:
         #: The request being settled this tick (popped from
         #: :attr:`request` at settle, delivered back at resume).
         self._inflight: _CompareRequest | None = None
-        #: "ready" | "running" | "blocked" | "done".
-        self.state: str = "ready"
+        #: Set once the job has finished (result or error); the loop
+        #: settles it at the start of the next tick.
+        self.done = False
         self.request: _CompareRequest | None = None
         self._result: CrowdJobResult | None = None
         self._error: BaseException | None = None
@@ -794,7 +795,7 @@ class CrowdScheduler:
             # platform above is still built so the outcome's cost
             # accessor works (it reads 0.0).
             ticket._error = JobCancelledError(ticket.index)
-            ticket.state = "done"
+            ticket.done = True
             return
         if self.tracer.enabled:
             self.tracer.event(
@@ -804,7 +805,6 @@ class CrowdScheduler:
                 tenant=ticket.tenant,
                 fingerprint=ticket.fingerprint[:12],
             )
-        ticket.state = "running"
         self._start(ticket)
 
     # ------------------------------------------------------------------
@@ -820,7 +820,7 @@ class CrowdScheduler:
             ticket._gen = submitted.steps()
         except BaseException as exc:  # repro-lint: disable=ERR003 -- outcome capture; re-raised on the ticket
             ticket._error = exc
-            ticket.state = "done"
+            ticket.done = True
             return
         self._advance(ticket, "next")
 
@@ -847,7 +847,6 @@ class CrowdScheduler:
                 request = self._intercept(ticket, step)
                 if request is not None:
                     ticket.request = request
-                    ticket.state = "blocked"
                     return
                 try:
                     result = step.perform()
@@ -857,10 +856,10 @@ class CrowdScheduler:
                     step = gen.send(result)
         except StopIteration as stop:
             ticket._result = stop.value
-            ticket.state = "done"
+            ticket.done = True
         except BaseException as exc:  # repro-lint: disable=ERR003 -- outcome capture; re-raised on the ticket
             ticket._error = exc
-            ticket.state = "done"
+            ticket.done = True
 
     def _intercept(
         self, ticket: JobTicket, step: OracleCall
@@ -898,7 +897,7 @@ class CrowdScheduler:
                 self._journal.begin_group()
             still_live: list[JobTicket] = []
             for ticket in live:
-                if ticket.state == "done":
+                if ticket.done:
                     self._settle(ticket, outcomes)
                 else:
                     still_live.append(ticket)
@@ -1185,7 +1184,6 @@ class CrowdScheduler:
                 # typed cancel error (the charges stand — ledgers are
                 # authoritative; see JobTicket.cancel).
                 request.error = JobCancelledError(ticket.index)
-            ticket.state = "running"
             if request.error is not None:
                 self._advance(ticket, "throw", request.error)
             elif (

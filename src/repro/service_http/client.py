@@ -11,8 +11,7 @@ HTTP-layer ones, or anything unknown) raise
 :class:`RemoteServiceError`, which carries the code and status.
 
 The client opens one connection per request (``Connection: close``
-semantics): the simplest thing that is fully correct, and exactly what
-the ``bench-service`` harness wants — thousands of independent
+semantics): the simplest thing that is fully correct for independent
 request/response pairs over real sockets.
 """
 

@@ -17,7 +17,8 @@ Two pieces of state deliberately outlive a generation:
   generation (stateless across generations) and the cache is off, so
   an explicitly-seeded job's result does not depend on which
   generation served it or what shared the schedule.  That invariance
-  is the HTTP↔in-process parity contract ``bench-service`` gates on.
+  is the HTTP↔in-process parity contract ``tests/test_service_http.py``
+  and the ``http_load`` benchmark workload check.
 
 Per-job telemetry is bridged per generation: an
 :class:`_EventBridgeSink` appends every scheduler record carrying a

@@ -206,7 +206,7 @@ class _Connection:
             for event in backlog:
                 writer.write(self._event_line(record, event))
             await writer.drain()
-            seen = len(backlog)
+            seen = backlog[-1]["seq"] + 1 if backlog else 0
             if record.status in SETTLED_STATES and record.settled_event.is_set():
                 return
             while True:

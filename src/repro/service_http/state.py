@@ -68,6 +68,9 @@ class JobRecord:
         self.cancel_requested = False
         #: Bridged telemetry records (loop thread only).
         self.events: list[dict[str, Any]] = []
+        #: Stream position of the next event (loop thread only); keeps
+        #: counting once ``events`` is trimmed to its cap.
+        self.next_seq = 0
         self.subscribers: list[asyncio.Queue] = []
         self.settled_event = asyncio.Event()
 
@@ -252,7 +255,13 @@ class ServiceState:
         error: BaseException | None,
         cost: float | None,
     ) -> None:
-        """Record a terminal outcome, release the ticket, wake every waiter."""
+        """Record a terminal outcome, release the ticket, wake every waiter.
+
+        The error is stored without its traceback chain: those frames
+        belong to the scheduler, and a settled record that held them
+        would keep the generation's pools and tickets alive.
+        """
+        _drop_tracebacks(error)
         with self._lock:
             record.status = status
             record.result = result
@@ -302,7 +311,8 @@ class ServiceState:
 
     def _publish_on_loop(self, events: list[tuple[JobRecord, dict[str, Any]]]) -> None:
         for record, event in events:
-            event["seq"] = len(record.events)
+            event["seq"] = record.next_seq
+            record.next_seq += 1
             record.events.append(event)
             if len(record.events) > _MAX_EVENTS_PER_JOB:
                 del record.events[: -_MAX_EVENTS_PER_JOB]
@@ -316,3 +326,16 @@ class ServiceState:
                 queue.put_nowait(None)  # sentinel: stream ends
 
         self.loop.call_soon_threadsafe(_set)
+
+
+def _drop_tracebacks(error: BaseException | None) -> None:
+    """Clear ``__traceback__`` on ``error`` and its cause/context chain."""
+    pending = [error]
+    seen: set[int] = set()
+    while pending:
+        exc = pending.pop()
+        if exc is None or id(exc) in seen:
+            continue
+        seen.add(id(exc))
+        exc.__traceback__ = None
+        pending += (exc.__cause__, exc.__context__)

@@ -6,8 +6,8 @@ dataclasses, stamped with the ``repro.service/v1`` schema
 :mod:`repro.service_http.codec`.  The same shapes are consumed
 verbatim by the ``repro-serve`` CLI, the async
 :class:`~repro.service_http.client.ServiceClient`, and the
-``bench-service`` load harness — one codec, one schema, three
-frontends.
+``http_load`` benchmark's load generator — one codec, one schema,
+three frontends.
 
 The job *result* payload is not defined here: it is
 :meth:`repro.jobs.CrowdJobResult.to_dict`, shared with the in-process

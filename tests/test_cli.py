@@ -126,44 +126,3 @@ class TestMain:
         assert main(["sorting", "--seed", "1"]) == 0
         assert "sorting-quality" in capsys.readouterr().out
 
-
-class TestServeSim:
-    def test_quantum_defaults_to_unlimited(self):
-        assert build_parser().parse_args(["serve-sim"]).quantum == 0
-
-    def test_three_arm_run_writes_v3_artifact_and_history(self, tmp_path, capsys):
-        import json
-
-        assert main(
-            ["serve-sim", "--serve-jobs", "4", "--out", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "scheduled (fused)" in out
-        assert "scheduled (fused+cache)" in out
-
-        payload = json.loads((tmp_path / "BENCH_scheduler.json").read_text())
-        assert payload["schema"] == "repro.bench_scheduler/v3"
-        assert payload["scheduled_fused"]["identical_to_isolated"] is True
-        assert payload["scheduled_cached"]["cache_hit_rate"] > 0
-
-        lines = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["schema"] == "repro.bench_history/v1"
-        assert record["command"] == "serve-sim"
-        assert record["fused_identical"] is True
-        assert "unix_time" in record and "git_sha" in record
-
-    def test_history_appends_across_runs(self, tmp_path, capsys):
-        import json
-
-        for _ in range(2):
-            assert main(
-                ["serve-sim", "--serve-jobs", "2", "--out", str(tmp_path)]
-            ) == 0
-        capsys.readouterr()
-        lines = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert all(
-            json.loads(line)["command"] == "serve-sim" for line in lines
-        )

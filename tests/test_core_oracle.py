@@ -267,6 +267,32 @@ class TestScalarBatchParity:
         batch = self._sequence(True, dense_memo_limit)
         assert scalar == batch
 
+    @pytest.mark.parametrize("dense_memo_limit", [None, 0], ids=["dense", "dict"])
+    def test_scalar_loop_matches_one_batch_with_repeats(self, dense_memo_limit):
+        # One batch with repeated pairs, replayed once more: fresh pairs,
+        # in-batch duplicates and memo hits all cross the batch path.
+        n, pairs = 300, 4000
+        rng = np.random.default_rng(2015)
+        values = rng.random(n)
+        ii = rng.integers(0, n, pairs)
+        jj = (ii + 1 + rng.integers(0, n - 1, pairs)) % n
+        ii, jj = np.concatenate([ii, ii]), np.concatenate([jj, jj])
+
+        def build():
+            return ComparisonOracle(
+                values,
+                AdversarialWorkerModel(delta=0.3, policy="first_loses"),
+                np.random.default_rng(2015),
+                dense_memo_limit=dense_memo_limit,
+            )
+
+        scalar, batch = build(), build()
+        scalar_winners = [scalar.compare(int(a), int(b)) for a, b in zip(ii, jj)]
+        batch_winners = batch.compare_pairs(ii, jj)
+        assert scalar_winners == batch_winners.tolist()
+        assert scalar.comparisons == batch.comparisons < pairs
+        assert scalar.requests == batch.requests == 2 * pairs
+
     def test_stochastic_answers_actually_vary(self):
         # Sanity for the parity test: the same queries under a
         # different oracle RNG change some answers, so the equality

@@ -1,11 +1,12 @@
 """End-to-end crash-recovery harness (SIGKILL mid-run, then resume).
 
 The strongest durability claim gets the strongest test: a *separate
-process* running the durable serve-sim workload is SIGKILLed partway
-through (via the journal's ``--crash-after`` hook — a simulated power
-cut with no cleanup handlers), a second process resumes from the
-surviving state directory, and the resumed run's settle outcomes must
-be byte-identical to an uninterrupted control run — answers, costs,
+process* running the durable workload (``tests/durable_workload.py``)
+is SIGKILLed partway through (its ``--crash-after`` flag arms the
+journal's ``crash_after_appends`` hook — a simulated power cut with no
+cleanup handlers), a second process resumes from the surviving state
+directory, and the resumed run's settle outcomes must be
+byte-identical to an uninterrupted control run — answers, costs,
 per-label ledgers — with the settled prefix replayed from the journal
 rather than re-bought.
 """
@@ -20,24 +21,22 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-SERVE_JOBS = 4
+JOBS = 4
 # Past the header and a few settled batches, well before the run ends
 # (the uninterrupted run journals dozens of appends at this size).
 CRASH_AFTER = 6
 
 
-def run_cli(state_dir, *extra):
+def run_workload(state_dir, *extra):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(
         [
             sys.executable,
-            "-m",
-            "repro.cli",
-            "resume",
+            "tests/durable_workload.py",
             "--state-dir",
             str(state_dir),
-            "--serve-jobs",
-            str(SERVE_JOBS),
+            "--jobs",
+            str(JOBS),
             *extra,
         ],
         cwd=REPO,
@@ -56,7 +55,7 @@ def outcomes(state_dir):
 def control(tmp_path_factory):
     """One uninterrupted durable run, shared by the assertions below."""
     state = tmp_path_factory.mktemp("control")
-    proc = run_cli(state)
+    proc = run_workload(state)
     assert proc.returncode == 0, proc.stderr
     return outcomes(state)
 
@@ -65,11 +64,11 @@ class TestKillResume:
     @pytest.fixture(scope="class")
     def crashed_then_resumed(self, tmp_path_factory):
         state = tmp_path_factory.mktemp("crashed")
-        crashed = run_cli(state, "--crash-after", str(CRASH_AFTER))
+        crashed = run_workload(state, "--crash-after", str(CRASH_AFTER))
         # The hook SIGKILLs the process: no exit handlers, no output.
         assert crashed.returncode == -signal.SIGKILL
         assert not (state / "outcomes.json").exists()
-        resumed = run_cli(state)
+        resumed = run_workload(state)
         assert resumed.returncode == 0, resumed.stderr
         return state, resumed
 
@@ -100,6 +99,6 @@ class TestKillResume:
 
     def test_double_resume_is_stable(self, crashed_then_resumed, control):
         state, _ = crashed_then_resumed
-        again = run_cli(state)
+        again = run_workload(state)
         assert again.returncode == 0, again.stderr
         assert outcomes(state)["jobs"] == control["jobs"]

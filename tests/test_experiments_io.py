@@ -42,34 +42,3 @@ class TestErrors:
         with pytest.raises(ValueError):
             load_result(path)
 
-
-class TestAppendJsonlAtomic:
-    def test_creates_and_appends(self, tmp_path):
-        import json
-
-        from repro.experiments.artifacts import append_jsonl_atomic
-
-        path = tmp_path / "history.jsonl"
-        append_jsonl_atomic(path, {"run": 1})
-        append_jsonl_atomic(path, {"run": 2})
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["run"] for line in lines] == [1, 2]
-
-    def test_repairs_missing_trailing_newline(self, tmp_path):
-        import json
-
-        from repro.experiments.artifacts import append_jsonl_atomic
-
-        path = tmp_path / "history.jsonl"
-        path.write_text('{"run":1}')  # no trailing newline
-        append_jsonl_atomic(path, {"run": 2})
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["run"] for line in lines] == [1, 2]
-
-    def test_records_are_compact_single_lines(self, tmp_path):
-        from repro.experiments.artifacts import append_jsonl_atomic
-
-        path = tmp_path / "history.jsonl"
-        append_jsonl_atomic(path, {"b": [1, 2], "a": {"nested": True}})
-        (line,) = path.read_text().splitlines()
-        assert line == '{"a":{"nested":true},"b":[1,2]}'

@@ -36,11 +36,10 @@ from repro.durability import (
     PersistentComparisonStore,
 )
 from repro.durability.journal import decode_flags, decode_indices, encode_flags, encode_indices
-from repro.experiments.bench_durability import run_durable_workload
-from repro.experiments.bench_scheduler import SchedulerWorkload
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
 from repro.telemetry import Tracer
 
+from durable_workload import SchedulerWorkload, run_durable_workload
 from test_scheduler_fusion import SerialScheduler
 
 WORKLOAD = dict(seed=901, n_jobs=4, n=60, u_n=3, catalogs=2)

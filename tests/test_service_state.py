@@ -5,13 +5,16 @@
   ``seq``, all before the job's settle sentinel, through one loop
   hand-off per generation (not one per record), also when the
   generation fails;
+* **event cap** — past the per-job buffer cap, ``seq`` keeps counting:
+  a live subscriber misses nothing, and a stream opened late replays
+  the buffer and then follows the live events;
 * **cancel order** — a job cancelled mid-generation gets its
   ``job_cancelled`` event where the cancel fell among the generation's
   records, after ``job_admitted`` and before ``job_settled``, and
   cancels racing the runner thread lose and duplicate no event;
-* **ticket release** — a settled job keeps its result but drops its
-  scheduler ticket, so the job object, tenant platform and tracer
-  behind it can be collected.
+* **ticket release** — a settled job keeps its result (or its error,
+  partial result included) but drops its scheduler ticket, so the job
+  object, tenant platform and tracer behind it can be collected.
 """
 
 import asyncio
@@ -33,7 +36,7 @@ from repro.service_http import (
 )
 from repro.service_http.errors import ConflictError
 from repro.service_http.runner import ServiceRunner
-from repro.service_http.state import ServiceState
+from repro.service_http.state import _MAX_EVENTS_PER_JOB, ServiceState
 
 TOKEN = "test-token"
 TENANT = "acme"
@@ -59,6 +62,20 @@ async def drain(queue):
         if event is None:
             return seen
         seen.append(event)
+
+
+def serve(scenario, **config):
+    """Run ``scenario(server, client)`` against a real loopback server."""
+
+    async def main():
+        server = ServiceServer(ServiceConfig(port=0, tokens={TOKEN: TENANT}, **config))
+        await server.start()
+        try:
+            await scenario(server, ServiceClient("127.0.0.1", server.port, TOKEN))
+        finally:
+            await server.aclose()
+
+    asyncio.run(main())
 
 
 class TestEventHandOff:
@@ -129,6 +146,36 @@ class TestEventHandOff:
         record, stream = asyncio.run(scenario())
         assert record.status == "failed"
         assert [e["kind"] for e in stream] == ["job_queued", "job_settled"]
+
+
+class TestEventCap:
+    def test_seq_keeps_counting_past_the_buffer_cap(self):
+        published = _MAX_EVENTS_PER_JOB + 88
+        live = 10
+
+        async def scenario(server, client):
+            server.runner.stop()  # the job stays queued; the test publishes
+            state = server.state
+            record = state.submit(TENANT, small_spec())  # job_queued is seq 0
+            early = state.subscribe(record)
+            for k in range(1, published):
+                state.publish(record, {"kind": "tick", "k": k})
+            await asyncio.sleep(0)  # let the hand-offs land
+            buffered = [e["seq"] for e in record.events]
+            stream = client.job_events(record.job_id)
+            replayed = [(await anext(stream)).seq for _ in range(_MAX_EVENTS_PER_JOB)]
+            for k in range(published, published + live):
+                state.publish(record, {"kind": "tick", "k": k})
+            state.cancel(record)  # one more event, then the stream ends
+            followed = [event.seq async for event in stream]
+
+            end = published + live + 1
+            assert [e["seq"] for e in await drain(early)] == list(range(end))
+            assert buffered == list(range(published - _MAX_EVENTS_PER_JOB, published))
+            assert replayed == buffered
+            assert followed == list(range(published, end))
+
+        serve(scenario)
 
 
 class TestCancelOrder:
@@ -226,39 +273,48 @@ class TestCancelOrder:
             sys.setswitchinterval(interval)
 
 
+async def settle_and_release(server, client, spec):
+    """Run ``spec`` to its result; assert its ticket and job were collected."""
+    refs = []
+    mark_running = server.state.mark_running
+
+    def spy(record, generation, ticket):
+        refs.extend([weakref.ref(ticket), weakref.ref(ticket.job)])
+        mark_running(record, generation, ticket)
+
+    server.state.mark_running = spy
+    view = await client.submit_job(spec)
+    first = await client.result_envelope(view.job_id, wait=30.0)
+    for _ in range(100):  # the runner may still be leaving the generation
+        gc.collect()
+        if all(ref() is None for ref in refs):
+            break
+        await asyncio.sleep(0.05)
+    assert refs and all(ref() is None for ref in refs)
+    return view, first
+
+
 class TestTicketRelease:
     def test_a_settled_job_drops_its_ticket_and_keeps_its_result(self):
-        refs = []
-
         async def scenario(server, client):
-            mark_running = server.state.mark_running
-
-            def spy(record, generation, ticket):
-                refs.extend([weakref.ref(ticket), weakref.ref(ticket.job)])
-                mark_running(record, generation, ticket)
-
-            server.state.mark_running = spy
-            view = await client.submit_job(small_spec())
-            first = await client.result_envelope(view.job_id, wait=30.0)
+            view, first = await settle_and_release(server, client, small_spec())
             assert first.status == "ok"
-            for _ in range(100):  # the runner may still be leaving the generation
-                gc.collect()
-                if all(ref() is None for ref in refs):
-                    break
-                await asyncio.sleep(0.05)
-            assert refs and all(ref() is None for ref in refs)
             again = await client.result_envelope(view.job_id)
             assert again.result == first.result
             with pytest.raises(RemoteServiceError) as info:
                 await client.cancel_job(view.job_id)
             assert (info.value.status, info.value.code) == (409, "conflict")
 
-        async def main():
-            server = ServiceServer(ServiceConfig(port=0, tokens={TOKEN: TENANT}))
-            await server.start()
-            try:
-                await scenario(server, ServiceClient("127.0.0.1", server.port, TOKEN))
-            finally:
-                await server.aclose()
+        serve(scenario)
 
-        asyncio.run(main())
+    def test_a_job_settled_with_an_error_releases_its_generation(self):
+        async def scenario(server, client):
+            view, first = await settle_and_release(server, client, small_spec())
+            assert first.status == "budget_exceeded"
+            again = await client.job_result(view.job_id)
+            assert again.status == 402
+            assert again.payload["error"] == first.error
+            assert first.error["code"] == "budget_exceeded"
+            assert first.error["detail"]["partial"]["degraded_reason"] == "budget"
+
+        serve(scenario, tenant_caps={TENANT: 6.0})
