@@ -3,8 +3,8 @@
 The durability design (``docs/DURABILITY.md``) recovers a killed run by
 replaying the append-only journal; the SQLite comparison store is a
 cache *derived from* the journal.  That only holds if, on every path
-that persists comparison outcomes, the journal append (or group commit)
-happens **before** the store write-through — a store write that lands
+that persists comparison outcomes, the journal append (or the commit of
+the tick's line) happens **before** the store write-through — a store write that lands
 without its journal record makes a crash unrecoverable into a
 bit-identical resume (the PR 7/8 invariant).
 
@@ -14,7 +14,9 @@ deferred write-through in ``repro.scheduler.cache`` is driven *by* the
 engine and is checked at its call sites).  Within each function, every
 store-write call (``store_batch`` / ``write_entries`` /
 ``flush_pending``) must be preceded in source order by a journal call
-(``<journal>.append`` / ``commit_group`` / a ``*journal*`` helper).
+(``<journal>.append`` / ``<journal>.commit_group`` on a receiver that
+names the journal, or a call to a ``*journal*`` helper such as the
+engine's ``_journal_serve`` / ``_journal_tick``).
 Source order approximates path order: the code under analysis settles
 batches in straight-line blocks, and a branch that genuinely reorders
 effects should be restructured, not excused.
@@ -37,7 +39,7 @@ _STORE_CALLS = frozenset({"store_batch", "write_entries", "flush_pending"})
 
 #: Attribute calls counted as journal appends when the receiver chain
 #: names the journal (so ``list.append`` never qualifies).
-_JOURNAL_CALLS = frozenset({"append", "commit_group", "begin_group"})
+_JOURNAL_CALLS = frozenset({"append", "commit_group"})
 
 
 def _in_scope(module_name: str) -> bool:

@@ -15,21 +15,19 @@ One JSON object per line.  Each record carries a ``crc`` field — a
 truncated SHA-256 over the canonical (compact, sorted-keys) encoding
 of the rest of the record — written first: a line is
 ``{"crc":"<16 hex>",`` followed by that canonical encoding without its
-opening brace, so an append encodes its record once.  A serve record
-names its request's pairs by a digest (:func:`digest_pairs`) rather
-than listing them — replay takes the indices from the live request
-after checking the digest.  Its other array payloads (miss positions
-and answer flags) are base64 text made by the codec next to
-:data:`JOURNAL_FORMAT`: index arrays as little-endian int32, boolean
-arrays bit-packed with ``np.packbits``.
-A standalone append is flushed and ``fsync``\\ ed before returning; a
-*group commit* (:meth:`JobJournal.begin_group` /
-:meth:`JobJournal.commit_group`) buffers many records and lands them
-with one write + one fsync — how the scheduler frames all of a tick's
-serve and ``settled`` records.
-Either way a record reaches the disk whole or not at all from the
-journal's point of view; a crash mid-write leaves at most one torn
-final line.
+opening brace, so an append encodes its record once.  The scheduler
+writes a ``header`` line and then one ``tick`` line per tick of its
+loop (``repro.journal/v4``, laid out in ``docs/DURABILITY.md``): the
+tick's served requests as columns, their pairs as one digest, and
+their miss and answer flags as base64 text of ``np.packbits`` over the
+tick's pairs (:func:`encode_flags` / :func:`decode_flags`).
+
+:meth:`JobJournal.append` encodes a record and buffers its line;
+:meth:`JobJournal.commit_group` writes the buffered lines with one
+write and one ``fsync``.  A record becomes durable only at that commit
+and must not be made observable elsewhere before it.  A record reaches
+the disk whole or not at all from the journal's point of view; a crash
+mid-write leaves at most one torn final line.
 
 :meth:`recover` reads records until the first line that is incomplete,
 unparseable, or fails its CRC, then **truncates the file there**
@@ -37,7 +35,7 @@ unparseable, or fails its CRC, then **truncates the file there**
 journal is again well-formed before new appends land.  Dropping the
 torn tail is safe by construction: a record is written *before* the
 action it describes is made observable elsewhere (cache commit,
-settle), so a lost record at worst re-buys one batch — it can never
+settle), so a lost record at worst re-buys one tick — it can never
 double-settle one.
 """
 
@@ -60,49 +58,14 @@ __all__ = [
     "JOURNAL_FORMAT",
     "JournalRecord",
     "JobJournal",
-    "digest_pairs",
-    "encode_indices",
-    "decode_indices",
     "encode_flags",
     "decode_flags",
 ]
 
 #: Stamped into the journal header; readers reject other formats.
-JOURNAL_FORMAT = "repro.journal/v3"
+JOURNAL_FORMAT = "repro.journal/v4"
 
 JournalRecord = dict[str, Any]
-
-_INT32 = np.iinfo(np.int32)
-
-
-def digest_pairs(indices_i: np.ndarray, indices_j: np.ndarray) -> str:
-    """A request's pairs as a serve record names them: SHA-256, truncated
-    to 128 bits, over the pair count and both index arrays as
-    little-endian int64."""
-    digest = hashlib.sha256(len(indices_i).to_bytes(8, "little"))
-    digest.update(np.ascontiguousarray(indices_i, dtype="<i8").tobytes())
-    digest.update(np.ascontiguousarray(indices_j, dtype="<i8").tobytes())
-    return digest.hexdigest()[:32]
-
-
-def encode_indices(values: np.ndarray) -> str:
-    """An index array as base64 text of little-endian int32."""
-    values = np.asarray(values)
-    if len(values) and (values.min() < _INT32.min or values.max() > _INT32.max):
-        raise ValueError("journal index arrays must fit in int32")
-    return base64.b64encode(values.astype("<i4").tobytes()).decode("ascii")
-
-
-def decode_indices(text: str) -> np.ndarray:
-    """Inverse of :func:`encode_indices`; a malformed payload raises
-    :class:`~repro.durability.errors.DurabilityError`."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (binascii.Error, TypeError) as exc:
-        raise DurabilityError(f"journal index array is not base64: {exc}") from exc
-    if len(raw) % 4:
-        raise DurabilityError("journal index array is not a whole number of int32")
-    return np.frombuffer(raw, dtype="<i4").astype(np.intp)
 
 
 def encode_flags(values: np.ndarray) -> str:
@@ -143,18 +106,20 @@ class JobJournal:
         to the end of whatever the file already holds — run
         :meth:`recover` first when resuming so the tail is known-good.
     crash_after_appends:
-        Test hook for the crash-recovery harness: after this many
-        successful appends the process SIGKILLs itself, simulating a
-        power cut at a deterministic point.  ``None`` (the default)
-        disables the hook.
+        Test hook for the crash-recovery harness: the process SIGKILLs
+        itself while writing its ``N``-th line, after the lines before
+        it and the first half of that line are flushed and fsynced — a
+        simulated power cut mid-write at a deterministic point.
+        ``None`` (the default) disables the hook.
     """
 
     def __init__(self, path: str | Path, crash_after_appends: int | None = None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.crash_after_appends = crash_after_appends
+        #: Lines written so far (buffered lines are not counted).
         self.appends = 0
-        self._group: list[str] | None = None
+        self._buffered: list[str] = []
         self._handle = open(  # repro-lint: disable=DUR001 -- append-only + fsync framing
             self.path, "a", encoding="utf-8"
         )
@@ -163,55 +128,29 @@ class JobJournal:
     # Writing
     # ------------------------------------------------------------------
     def append(self, kind: str, **fields: Any) -> JournalRecord:
-        """Append one record; returns it with its CRC filled in.
+        """Encode one record and buffer its line; returns the record
+        with its CRC filled in.
 
-        Outside a group the record is durable (flushed and fsynced)
-        when this returns — callers rely on that ordering to keep the
-        journal ahead of every other durable artifact.  Inside an open
-        group (:meth:`begin_group`) the encoded line is buffered and
-        becomes durable only at :meth:`commit_group`; the buffered
-        record must not be made observable elsewhere before then.
+        The record becomes durable at the next :meth:`commit_group`, and
+        must not be made observable anywhere else before then — callers
+        rely on that ordering to keep the journal ahead of every other
+        durable artifact.
         """
         payload: dict[str, Any] = {"kind": kind, **fields}
         body = _canonical(payload)
         crc = _crc(body)
         # The line is the canonical body with the CRC spliced in front.
-        line = f'{{"crc":"{crc}",{body[1:]}\n'
-        record: JournalRecord = {"crc": crc, **payload}
-        if self._group is not None:
-            self._group.append(line)
-            return record
-        self._write_durably([line])
-        return record
-
-    def begin_group(self) -> None:
-        """Open a group commit: buffer appends until :meth:`commit_group`.
-
-        Group commits amortize durability — the scheduler frames all of
-        one tick's serve and ``settled`` records into a single write +
-        fsync instead of one fsync per record.  Groups do not nest.
-        """
-        if self._group is not None:
-            raise RuntimeError("journal group already open")
-        self._group = []
-
-    @property
-    def group_open(self) -> bool:
-        """Whether a group commit is open (appends are being buffered)."""
-        return self._group is not None
+        self._buffered.append(f'{{"crc":"{crc}",{body[1:]}\n')
+        return {"crc": crc, **payload}
 
     def commit_group(self) -> None:
-        """Write the buffered group durably with one fsync.
+        """Write the buffered lines with one write and one fsync.
 
-        An empty group commits to nothing (no write, no fsync).  The
-        crash hook counts each buffered record as one append, so a
-        threshold landing inside a group kills the process with exactly
-        the prefix of the group on disk — a torn group, which recovery
-        must (and does) treat like any other torn tail.
+        Nothing buffered commits to nothing (no write, no fsync).  The
+        scheduler commits its header alone and then one ``tick`` line
+        per tick.
         """
-        lines, self._group = self._group, None
-        if lines is None:
-            raise RuntimeError("no journal group open")
+        lines, self._buffered = self._buffered, []
         if lines:
             self._write_durably(lines)
 
@@ -220,23 +159,23 @@ class JobJournal:
         if self.crash_after_appends is not None:
             remaining = self.crash_after_appends - self.appends
             if remaining <= len(lines):
-                # Simulated power cut mid-group: persist exactly the
-                # records up to the threshold, then die without
-                # flushing anything else — what recovery must survive.
-                for line in lines[:remaining]:
-                    self._handle.write(line)
+                # Simulated power cut: the lines before the threshold
+                # land whole and the one it falls on only its first
+                # half — the torn tail recovery must survive.
+                whole = lines[: max(remaining - 1, 0)]
+                torn = lines[remaining - 1] if remaining > 0 else ""
+                self._handle.write("".join(whole) + torn[: len(torn) // 2])
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
-                self.appends += remaining
                 os.kill(os.getpid(), signal.SIGKILL)
-        for line in lines:
-            self._handle.write(line)
+        self._handle.write("".join(lines))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.appends += len(lines)
 
     def close(self) -> None:
-        """Close the file handle (appended records are already durable)."""
+        """Close the file handle; records never committed are dropped,
+        as a crash would drop them."""
         if not self._handle.closed:
             self._handle.close()
 

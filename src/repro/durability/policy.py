@@ -42,8 +42,9 @@ class DurabilityPolicy:
         point several configurations at one directory.
     crash_after_appends:
         Passed through to :class:`~repro.durability.journal.JobJournal`;
-        a crash-harness hook that SIGKILLs the process after N journal
-        appends.  ``None`` in normal operation.
+        a crash-harness hook that SIGKILLs the process while it writes
+        its N-th journal line, leaving that line torn.  ``None`` in
+        normal operation.
     """
 
     store_path: str | Path

@@ -29,13 +29,13 @@ parked, the scheduler runs one *tick* of its virtual clock:
    requests are **fused**: the tick's requests for a pool become one
    plan — each tenant still draws from its own Philox counter stream —
    which is decided with one vectorized call per worker model and
-   finalized once, while charges / counters / journal records land per
-   tenant in admission order — bit-identical to serving the requests
+   finalized once, while charges and counters land per tenant in
+   admission order — bit-identical to serving the requests
    one by one, but with one platform pass per pool.  Requests the fast path
    cannot take (gold probes, fault plans, capped ledgers, fallback
    pools) are bought alone through the platform's ``compare_batch``.
-   Journaled runs frame the whole tick's records into one group commit
-   (a single fsync).
+   Journaled runs record the whole tick as one journal line, written
+   with one write and one fsync as the phase ends.
 4. **Resume** — replies are delivered in admission order, each
    ticket's generator advanced inline — so mutations of shared worker
    state (gold bans) happen in one deterministic order.
@@ -68,12 +68,12 @@ See ``docs/SCHEDULER.md`` for the full contract and worked examples.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
-from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import groupby
-from typing import Any, Callable, Literal
+from itertools import accumulate, groupby
+from typing import Any, Callable, Iterable, Literal
 
 import numpy as np
 
@@ -87,13 +87,7 @@ from ..durability import (
     JournalRecord,
     PersistentComparisonStore,
 )
-from ..durability.journal import (
-    decode_flags,
-    decode_indices,
-    digest_pairs,
-    encode_flags,
-    encode_indices,
-)
+from ..durability.journal import decode_flags, encode_flags
 from ..durability.store import Segment
 from ..platform.accounting import CostLedger
 from ..platform.errors import CostCapError, DegradedBatchError
@@ -219,105 +213,6 @@ def _report_from_state(state: dict[str, Any]) -> BatchReport:
     )
 
 
-#: The fields of a ``serve`` record and the JSON types each may hold.
-_SERVE_FIELDS: dict[str, tuple[type, ...]] = {
-    "seq": (int,),
-    "job_index": (int,),
-    "pool": (str,),
-    "judgments": (int,),
-    "pairs": (str,),
-    "miss": (str,),
-    "fresh": (str,),
-    "answers": (str,),
-    "hits": (int,),
-    "charges": (list,),
-    "report": (dict, type(None)),
-    "platform": (dict, type(None)),
-}
-
-
-@dataclass(frozen=True)
-class _JournaledServe:
-    """A recovered ``serve`` record with its array payloads decoded."""
-
-    record: JournalRecord
-    miss: np.ndarray
-    fresh: np.ndarray
-    answers: np.ndarray
-
-
-def _malformed(record: JournalRecord, field: str, problem: str) -> DurabilityError:
-    seq = f" seq={record['seq']}" if "seq" in record else ""
-    return DurabilityError(
-        f"malformed journal {record.get('kind')} record{seq}: {field!r} {problem}"
-    )
-
-
-def _decoded(
-    record: JournalRecord, field: str, decode: Callable[..., np.ndarray], *args: int
-) -> np.ndarray:
-    try:
-        return decode(record[field], *args)
-    except DurabilityError as exc:
-        raise _malformed(record, field, str(exc)) from exc
-
-
-def _parse_serve(record: JournalRecord) -> _JournaledServe:
-    """Validate a recovered ``serve`` record and decode its arrays.
-
-    A record can pass its CRC and still be malformed — rewritten and
-    re-framed, or written by other code — so every field is checked
-    before anything replays: presence and JSON type, ``miss`` strictly
-    increasing below the request size (``hits`` plus the misses), the
-    ``fresh`` and ``answers`` lengths, the charge tape's shape, and a
-    report and platform state whenever something was bought.  Any
-    fault raises :class:`DurabilityError` naming the ``seq`` and field.
-    """
-    for name, types in _SERVE_FIELDS.items():
-        if name not in record:
-            raise _malformed(record, name, "is missing")
-        if type(record[name]) not in types:
-            raise _malformed(record, name, f"holds a {type(record[name]).__name__}")
-    if record["hits"] < 0:
-        raise _malformed(record, "hits", "is negative")
-    miss = _decoded(record, "miss", decode_indices)
-    size = record["hits"] + len(miss)
-    if len(miss) and (miss[0] < 0 or miss[-1] >= size or (np.diff(miss) <= 0).any()):
-        raise _malformed(
-            record, "miss", f"is not strictly increasing positions below {size}"
-        )
-    for charge in record["charges"]:
-        if not (
-            type(charge) is list
-            and len(charge) == 3
-            and type(charge[0]) is str
-            and type(charge[1]) is int
-            and type(charge[2]) in (int, float)
-        ):
-            raise _malformed(record, "charges", f"holds {charge!r}")
-    if len(miss):
-        for name in ("report", "platform"):
-            if record[name] is None:
-                raise _malformed(record, name, "is missing for a batch that bought")
-    return _JournaledServe(
-        record,
-        miss,
-        _decoded(record, "fresh", decode_flags, len(miss)),
-        _decoded(record, "answers", decode_flags, size),
-    )
-
-
-def _all_hit_report(answers: np.ndarray) -> BatchReport:
-    """The report of a batch answered wholly from the cache: no
-    physical steps ran and nothing was paid."""
-    return BatchReport(
-        answers=answers.tolist(),
-        physical_steps=0,
-        judgments_collected=0,
-        judgments_discarded=0,
-    )
-
-
 @dataclass
 class _CompareRequest:
     """One parked oracle call awaiting scheduler service."""
@@ -351,7 +246,138 @@ class _Lookup:
     miss: np.ndarray
     #: Answer array with cache hits already filled in.
     answers: np.ndarray
-    hits: int
+    #: The misses as a mask over the request's pairs.
+    missed: np.ndarray
+
+
+#: A tick line's served request: its lookup, its charge tape, and its
+#: ``[report, platform]`` state when it bought anything.
+_LineEntry = tuple[_Lookup, list[tuple[str, int, float]], list[dict[str, Any]] | None]
+
+#: The fields of a ``tick`` line and the JSON types each may hold.
+_TICK_FIELDS: dict[str, tuple[type, ...]] = {
+    "tick": (int,),
+    "jobs": (list,),
+    "pools": (list,),
+    "judgments": (list,),
+    "sizes": (list,),
+    "charges": (list,),
+    "bought": (list,),
+    "miss": (str,),
+    "answers": (str,),
+    "pairs": (str,),
+    "settled": (list,),
+}
+
+#: The per-request columns of a ``tick`` line and their entries' types.
+_TICK_COLUMNS: dict[str, tuple[type, ...]] = {
+    "jobs": (int,),
+    "pools": (str,),
+    "judgments": (int,),
+    "sizes": (int,),
+    "charges": (list,),
+    "bought": (list, type(None)),
+}
+
+_NO_FLAGS = np.zeros(0, dtype=bool)
+
+
+def _pairs_digest(requests: Iterable[_CompareRequest]) -> str:
+    """The ``pairs`` of a tick line: SHA-256, truncated to 128 bits, over
+    each request's pair count and index arrays as little-endian int32,
+    fed request by request in record order."""
+    digest = hashlib.sha256()
+    for request in requests:
+        digest.update(request.size.to_bytes(4, "little"))
+        digest.update(request.indices_i.astype("<i4"))
+        digest.update(request.indices_j.astype("<i4"))
+    return digest.hexdigest()[:32]
+
+
+@dataclass(frozen=True)
+class _TickLine:
+    """A recovered ``tick`` line, validated, with its flags decoded."""
+
+    record: JournalRecord
+    #: Request ``k``'s pairs are ``bounds[k]:bounds[k + 1]`` of the flags.
+    bounds: list[int]
+    miss: np.ndarray
+    answers: np.ndarray
+
+
+def _malformed(record: JournalRecord, field: str, problem: str) -> DurabilityError:
+    tick = f" tick={record['tick']}" if type(record.get("tick")) is int else ""
+    return DurabilityError(
+        f"malformed journal {record.get('kind')} line{tick}: {field!r} {problem}"
+    )
+
+
+def _is_charge(charge: Any) -> bool:
+    return (
+        type(charge) is list
+        and len(charge) == 3
+        and type(charge[0]) is str
+        and type(charge[1]) is int
+        and type(charge[2]) in (int, float)
+    )
+
+
+def _parse_tick(record: JournalRecord) -> _TickLine:
+    """Validate a recovered ``tick`` line and decode its flags.
+
+    A line can pass its CRC and still be malformed — rewritten and
+    re-framed, or written by other code — so every field is checked
+    before anything replays: presence and JSON type, one entry per
+    request in every column with the entry's type, no job twice, sizes
+    not negative, charge tapes of ``[label, count, unit_cost]`` triples,
+    ``miss`` and ``answers`` holding one flag per pair, and ``bought``
+    set (to a report and a platform state) exactly for the requests
+    that missed.  Any fault raises :class:`DurabilityError` naming the
+    ``tick`` and the field.
+    """
+    for name, types in _TICK_FIELDS.items():
+        if name not in record:
+            raise _malformed(record, name, "is missing")
+        if type(record[name]) not in types:
+            raise _malformed(record, name, f"holds a {type(record[name]).__name__}")
+    count = len(record["jobs"])
+    for name, types in _TICK_COLUMNS.items():
+        column = record[name]
+        if len(column) != count:
+            raise _malformed(record, name, f"holds {len(column)} entries for {count} jobs")
+        for value in column:
+            if type(value) not in types:
+                raise _malformed(record, name, f"holds {value!r}")
+    if len(set(record["jobs"])) != count:
+        raise _malformed(record, "jobs", "names a job twice")
+    if any(size < 0 for size in record["sizes"]):
+        raise _malformed(record, "sizes", "holds a negative size")
+    for tape in record["charges"]:
+        for charge in tape:
+            if not _is_charge(charge):
+                raise _malformed(record, "charges", f"holds {charge!r}")
+    if any(type(job) is not int for job in record["settled"]):
+        raise _malformed(record, "settled", "holds a job that is not an int")
+    bounds = [0, *accumulate(record["sizes"])]
+    flags = []
+    for name in ("miss", "answers"):
+        try:
+            flags.append(decode_flags(record[name], bounds[-1]))
+        except DurabilityError as exc:
+            raise _malformed(record, name, str(exc)) from exc
+    miss, answers = flags
+    for job, start, stop, bought in zip(record["jobs"], bounds, bounds[1:], record["bought"]):
+        if not miss[start:stop].any():
+            problem = "is set for a job that bought nothing" if bought is not None else ""
+        elif bought is None:
+            problem = "is missing for a job that bought"
+        elif len(bought) != 2 or any(type(state) is not dict for state in bought):
+            problem = "is not [report, platform]"
+        else:
+            problem = ""
+        if problem:
+            raise _malformed(record, "bought", f"{problem} (job {job})")
+    return _TickLine(record, bounds, miss, answers)
 
 
 class _TenantPlatform(CrowdPlatform):
@@ -527,12 +553,13 @@ class CrowdScheduler:
         Opt-in durable state (see :mod:`repro.durability` and
         ``docs/DURABILITY.md``).  With ``persist_cache``, the cross-job
         cache is backed by SQLite and warm-starts from previous runs;
-        with ``journal``, every settled batch is journaled before it
-        becomes observable anywhere else, and :meth:`run` transparently
-        *resumes* when the policy's journal already holds records for
-        the identical workload — journaled batches are replayed without
-        touching the platform (zero re-spend), then execution continues
-        live, bit-identical to an uninterrupted run.  Requires
+        with ``journal``, each tick's settled batches are journaled as
+        one line before they become observable anywhere else, and
+        :meth:`run` transparently *resumes* when the policy's journal
+        already holds lines for the identical workload — journaled
+        batches are replayed without touching the platform (zero
+        re-spend), then execution continues live, bit-identical to an
+        uninterrupted run.  Requires
         stateless pools for exactness: gold bans mutate shared workers
         and are not reconstructed (a warning says so).
     """
@@ -605,10 +632,17 @@ class CrowdScheduler:
         self._started = False
         self.ticks = 0
         self._journal: JobJournal | None = None
-        self._replay: dict[int, deque[_JournaledServe]] = {}
-        self._journal_seq = 0
+        #: Recovered tick lines by tick number.  A tick has more than one
+        #: line when a resumed run served, live, a request its first
+        #: line lacks.
+        self._replay: dict[int, list[_TickLine]] = {}
+        #: The tick line being built: served requests in record order.
+        self._line: list[_LineEntry] = []
+        #: Jobs settled since the last line.
+        self._settled_since: list[JobTicket] = []
+        #: Jobs a recovered line names as settled.
         self._settled_journaled: set[int] = set()
-        #: Batches served from the journal (not the platform) this run.
+        #: Requests served from the journal (not the platform) this run.
         self.replayed_batches = 0
         #: Ledger operations re-applied from journal charge tapes.  The
         #: ledgers themselves cannot tell replayed charges from live
@@ -616,8 +650,6 @@ class CrowdScheduler:
         #: the counter that proves zero re-spend: judgments actually
         #: bought this run = ``ledger ops - replayed_operations``.
         self.replayed_operations = 0
-        #: Money re-applied from journal charge tapes (same caveat).
-        self.replayed_money = 0.0
 
     # ------------------------------------------------------------------
     # Admission
@@ -706,9 +738,8 @@ class CrowdScheduler:
                 self._loop(outcomes)
         finally:
             if self._journal is not None:
-                # The final group holds the last jobs' ``settled`` records.
-                if self._journal.group_open:
-                    self._journal.commit_group()
+                # The last line holds the jobs settled in the final tick.
+                self._journal_tick(self.ticks + 1)
                 self._journal.close()
             if self._owns_cache and isinstance(self.cache, DurableComparisonCache):
                 self.cache.close()
@@ -749,27 +780,25 @@ class CrowdScheduler:
                 if header.get(name) != actual:
                     raise JournalMismatchError(name, header.get(name), actual)
             for record in records[1:]:
-                kind = record.get("kind")
-                if kind == "serve":
-                    serve = _parse_serve(record)
-                    self._replay.setdefault(record["job_index"], deque()).append(serve)
-                    self._journal_seq += 1
-                elif kind == "settled":
-                    if type(record.get("job_index")) is not int:
-                        raise _malformed(record, "job_index", "is not an int")
-                    self._settled_journaled.add(record["job_index"])
-                else:
-                    raise _malformed(record, "kind", "is not serve or settled")
+                if record.get("kind") != "tick":
+                    raise _malformed(record, "kind", "is not tick")
+                line = _parse_tick(record)
+                lines = self._replay.setdefault(record["tick"], [])
+                if any(set(record["jobs"]) & set(other.record["jobs"]) for other in lines):
+                    raise _malformed(record, "jobs", "repeats a job of its tick's earlier line")
+                lines.append(line)
+                self._settled_journaled.update(record["settled"])
         self._journal = JobJournal(
             policy.journal_path, crash_after_appends=policy.crash_after_appends
         )
         if not records:
             self._journal.append("header", **facts)
+            self._journal.commit_group()
         if isinstance(self.cache, DurableComparisonCache):
-            # Group-commit discipline: with a journal active the SQLite
-            # write-through is deferred and flushed only after the
-            # tick's journal group is durable, so the store can never
-            # get ahead of the journal even within a fused tick.
+            # With a journal active the SQLite write-through is deferred
+            # and flushed only after the tick's line is durable, so the
+            # store can never get ahead of the journal even within a
+            # fused tick.
             self.cache.deferred = True
 
     def _launch(self, ticket: JobTicket) -> None:
@@ -889,12 +918,9 @@ class CrowdScheduler:
     def _loop(self, outcomes: list[JobOutcome]) -> None:
         live = [t for t in self._tickets]
         while live:
-            if self._journal is not None:
-                # One group per tick: the ``settled`` records of the jobs
-                # that finished since the last tick ride with the tick's
-                # serve records (the group after the last tick is
-                # committed by run()).
-                self._journal.begin_group()
+            # Jobs that finished in the last tick settle here and ride in
+            # this tick's journal line (the jobs that finish in the final
+            # tick get a line of their own, written by run()).
             still_live: list[JobTicket] = []
             for ticket in live:
                 if ticket.done:
@@ -924,11 +950,12 @@ class CrowdScheduler:
         *settle* — every admitted request is resolved: journal replays
         and fast-path-ineligible requests alone, everything else
         through the fused buffer (cache lookups, one fused platform
-        pass per flush, journal records framed into the tick's group,
-        which is committed with a single fsync as the phase ends).
+        pass per flush), each served request joining the tick's journal
+        line, which is written with one write and one fsync as the
+        phase ends.
         *scatter* — the deferred durable-cache writes flush behind the
-        committed group, and every request is checked to carry an
-        answer or an error.
+        written line, and every request is checked to carry an answer
+        or an error.
         *resume* — jobs are resumed in admission order by sending or
         throwing into their generators.
         """
@@ -938,8 +965,7 @@ class CrowdScheduler:
             try:
                 self._settle_requests(admitted)
             finally:
-                if self._journal is not None:
-                    self._journal.commit_group()
+                self._journal_tick(self.ticks)
         with self.tracer.span("scheduler.tick.scatter", tick=self.ticks):
             if isinstance(self.cache, DurableComparisonCache):
                 self.cache.flush_pending()
@@ -1013,6 +1039,7 @@ class CrowdScheduler:
         lookup sees exactly the store state one-at-a-time service would
         have produced.
         """
+        replay = self._replayed(admitted)
         pending: list[_Lookup] = []
         pending_keys: dict[Segment, set[int]] = {}
         for ticket in admitted:
@@ -1020,10 +1047,10 @@ class CrowdScheduler:
             assert request is not None and ticket.platform is not None
             ticket.request = None
             ticket._inflight = request
-            queue = self._replay.get(ticket.index)
-            if queue:
+            slot = replay.get(ticket.index)
+            if slot is not None:
                 self._flush_fused(pending, pending_keys)
-                self._replay_serve(ticket, request, queue.popleft())
+                self._replay_serve(ticket, request, *slot)
                 continue
             fusable = ticket.platform.fast_path_eligible(
                 request.pool_name, request.judgments_per_task
@@ -1047,7 +1074,9 @@ class CrowdScheduler:
         """Answer what the cache can of ``request``; the rest are misses."""
         answers = np.zeros(request.size, dtype=bool)
         if self.cache is None:
-            return _Lookup(ticket, request, np.arange(request.size), answers, 0)
+            return _Lookup(
+                ticket, request, np.arange(request.size), answers, np.ones(request.size, bool)
+            )
         hit_mask, cached = self.cache.lookup_batch(
             ticket.fingerprint,
             request.pool_name,
@@ -1056,7 +1085,8 @@ class CrowdScheduler:
             request.indices_j,
         )
         answers[hit_mask] = cached[hit_mask]
-        miss = np.flatnonzero(~hit_mask)
+        missed = ~hit_mask
+        miss = np.flatnonzero(missed)
         hits = int(request.size - len(miss))
         if self.tracer.enabled and hits:
             self.tracer.event(
@@ -1066,7 +1096,7 @@ class CrowdScheduler:
                 hits=hits,
                 misses=len(miss),
             )
-        return _Lookup(ticket, request, miss, answers, hits)
+        return _Lookup(ticket, request, miss, answers, missed)
 
     @staticmethod
     def _add_pending_keys(
@@ -1114,12 +1144,12 @@ class CrowdScheduler:
            cannot change any answer;
         3. *finalize* — ``fast_batch_finalize`` takes the majority once
            per plan and charges each tenant in admission order; then
-           journal records and cache stores land per tenant in the same
-           order, so ledger float accumulation and journal layout are
-           bit-identical to one-at-a-time service.  A tenant whose
-           charge is refused (a budget cap) keeps the error to itself;
-           later tenants still settle, exactly as they would have
-           serially.
+           each tenant's request joins the tick's journal line and its
+           cache store lands, in the same order, so ledger float
+           accumulation and the store are bit-identical to
+           one-at-a-time service.  A tenant whose charge is refused (a
+           budget cap) keeps the error to itself; later tenants still
+           settle, exactly as they would have serially.
         """
         if not pending:
             return
@@ -1272,45 +1302,17 @@ class CrowdScheduler:
     ) -> None:
         """Journal one served request, then store its fresh judgments.
 
-        Without ``fresh`` every pair was a cache hit.  Ordering
-        discipline: the journal record (durable at the group commit
-        that ends the tick's settle phase) must precede the durable
-        cache's commit of these judgments, so the store can never hold
-        an entry whose journal record was lost to a crash (which would
-        flip a miss to a hit on resume and break ledger parity).
+        Without ``fresh`` every pair was a cache hit, and the request's
+        report is ``None`` (only a bought batch can be degraded).
+        Ordering discipline: the tick's journal line (durable when it is
+        written at the end of the settle phase) must precede the
+        durable cache's commit of these judgments (deferred to the
+        scatter phase), so the store can never hold an entry whose
+        journal record was lost to a crash (which would flip a miss to
+        a hit on resume and break ledger parity).
         """
         ticket, request, miss = lookup.ticket, lookup.request, lookup.miss
-        if report is None:
-            report = _all_hit_report(lookup.answers)
-        if self._journal is not None:
-            touched = bool(len(miss))
-            assert ticket.platform is not None
-            record = self._journal.append(
-                "serve",
-                seq=self._journal_seq,
-                job_index=ticket.index,
-                pool=request.pool_name,
-                judgments=request.judgments_per_task,
-                pairs=digest_pairs(request.indices_i, request.indices_j),
-                miss=encode_indices(miss),
-                fresh=encode_flags(fresh if fresh is not None else np.zeros(0, dtype=bool)),
-                answers=encode_flags(lookup.answers),
-                hits=lookup.hits,
-                charges=[[label, count, cost] for label, count, cost in tape or []],
-                report=_report_to_state(report) if touched else None,
-                platform=_capture_platform_state(ticket.platform) if touched else None,
-            )
-            self._journal_seq += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "journal_append",
-                    job_index=ticket.index,
-                    pool=request.pool_name,
-                    seq=record["seq"],
-                    tasks=request.size,
-                    misses=len(miss),
-                )
-            self.tracer.count("durability.journal_appends")
+        self._journal_serve(lookup, report, tape)
         if self.cache is not None and fresh is not None:
             self.cache.store_batch(
                 ticket.fingerprint,
@@ -1323,30 +1325,116 @@ class CrowdScheduler:
         request.answers = lookup.answers
         request.report = report
 
-    def _replay_serve(
-        self, ticket: JobTicket, request: _CompareRequest, serve: _JournaledServe
+    def _journal_serve(
+        self,
+        lookup: _Lookup,
+        report: BatchReport | None,
+        tape: list[tuple[str, int, float]] | None,
     ) -> None:
-        """Serve one request from its journal record — no platform spend.
+        """Add one served request to the tick's journal line, with the
+        report and platform state of a request that bought."""
+        if self._journal is None:
+            return
+        bought = None
+        if len(lookup.miss):
+            assert report is not None and lookup.ticket.platform is not None
+            bought = [_report_to_state(report), _capture_platform_state(lookup.ticket.platform)]
+        self._line.append((lookup, tape or [], bought))
 
-        Validates that the live request matches the journaled one (the
-        determinism contract guarantees it for an identical workload):
-        its pool, its redundancy, and the digest of its pairs.  Then
-        replays the charge tape through the real ledgers, restores the
-        platform's post-batch state, and rebuilds the report the job
-        originally saw.  The pairs themselves come from the live
-        request.
+    def _journal_tick(self, tick: int) -> None:
+        """Write the tick's journal line with one write and one fsync.
+
+        The line holds the requests served this tick as columns in
+        record order, their miss and answer flags over the tick's
+        pairs, one digest of those pairs, and the jobs settled since
+        the last line.  A tick with nothing new to record (every
+        request replayed, no job settled) writes nothing.
         """
-        record, miss, answers = serve.record, serve.miss, serve.answers
+        journal, served, settled = self._journal, self._line, self._settled_since
+        if journal is None or not (served or settled):
+            return
+        self._line, self._settled_since = [], []
+        lookups = [lookup for lookup, _, _ in served]
+        missed = [lookup.missed for lookup in lookups] or [_NO_FLAGS]
+        answers = [lookup.answers for lookup in lookups] or [_NO_FLAGS]
+        journal.append(
+            "tick",
+            tick=tick,
+            jobs=[lookup.ticket.index for lookup in lookups],
+            pools=[lookup.request.pool_name for lookup in lookups],
+            judgments=[lookup.request.judgments_per_task for lookup in lookups],
+            sizes=[lookup.request.size for lookup in lookups],
+            charges=[tape for _, tape, _ in served],
+            bought=[bought for _, _, bought in served],
+            miss=encode_flags(np.concatenate(missed)),
+            answers=encode_flags(np.concatenate(answers)),
+            pairs=_pairs_digest(lookup.request for lookup in lookups),
+            settled=[ticket.index for ticket in settled],
+        )
+        journal.commit_group()
+        self.tracer.count("durability.journal_appends")
+        if self.tracer.enabled:
+            self.tracer.event(
+                "journal_append", tick=tick, requests=len(served), settled=len(settled)
+            )
+            for ticket in settled:
+                assert ticket.outcome is not None
+                self.tracer.event(
+                    "checkpoint_written",
+                    job_index=ticket.index,
+                    settle_index=ticket.outcome.settle_index,
+                    status=ticket.outcome.status,
+                    tick=tick,
+                )
+
+    def _replayed(self, admitted: list[JobTicket]) -> dict[int, tuple[_TickLine, int]]:
+        """This tick's journaled requests by job index, as (line, column).
+
+        Each of the tick's recovered lines is checked against the live
+        tick before anything is served: every job it names must be
+        admitted (``tick.jobs``), and the digest of those jobs' live
+        pairs, taken in the line's order, must match its ``pairs``
+        (``tick.pairs``).  An admitted request no line names runs live.
+        """
+        lines = self._replay.pop(self.ticks, None)
+        if not lines:
+            return {}
+        live = {t.index: t.request for t in admitted if t.request is not None}
+        slots: dict[int, tuple[_TickLine, int]] = {}
+        for line in lines:
+            jobs = line.record["jobs"]
+            if not all(job in live for job in jobs):
+                raise JournalMismatchError("tick.jobs", jobs, sorted(live))
+            digest = _pairs_digest(live[job] for job in jobs)
+            if digest != line.record["pairs"]:
+                raise JournalMismatchError("tick.pairs", line.record["pairs"], digest)
+            slots.update((job, (line, k)) for k, job in enumerate(jobs))
+        return slots
+
+    def _replay_serve(
+        self, ticket: JobTicket, request: _CompareRequest, line: _TickLine, k: int
+    ) -> None:
+        """Serve one request from its slice of a journal line — no
+        platform spend.
+
+        The tick's digest already bound the live pairs to the line
+        (:meth:`_replayed`); the request's pool and redundancy are
+        checked here.  Then the charge tape replays through the real
+        ledgers, and a request that bought restores its platform's
+        post-batch state and rebuilds the report the job originally
+        saw.  The pairs themselves come from the live request.
+        """
+        record = line.record
         for name, recorded, actual in (
-            ("pool", record["pool"], request.pool_name),
-            ("judgments", record["judgments"], request.judgments_per_task),
-            ("pairs", record["pairs"], digest_pairs(request.indices_i, request.indices_j)),
+            ("pool", record["pools"][k], request.pool_name),
+            ("judgments", record["judgments"][k], request.judgments_per_task),
         ):
             if recorded != actual:
                 raise JournalMismatchError(f"request.{name}", recorded, actual)
-        if len(answers) != request.size:
-            raise _malformed(record, "hits", f"does not add up to {request.size} pairs")
-        hits = record["hits"]
+        start, stop = line.bounds[k], line.bounds[k + 1]
+        miss = np.flatnonzero(line.miss[start:stop])
+        answers = line.answers[start:stop]
+        hits = request.size - len(miss)
         if self.cache is not None:
             # Mirror the original lookup's traffic counters and event.
             self.cache.hits += hits
@@ -1360,40 +1448,38 @@ class CrowdScheduler:
                     misses=len(miss),
                 )
         assert ticket.platform is not None
-        for label, count, unit_cost in record["charges"]:
+        for label, count, unit_cost in record["charges"][k]:
             ticket.platform.ledger.charge(label, count, float(unit_cost))
             self.replayed_operations += count
-            self.replayed_money += count * float(unit_cost)
-        if record["platform"] is not None:
+        report = None
+        bought = record["bought"][k]
+        if bought is not None:
+            report_state, platform_state = bought
             try:
-                _restore_platform_state(ticket.platform, record["platform"])
+                _restore_platform_state(ticket.platform, platform_state)
+                report = _report_from_state(report_state)
             except (KeyError, TypeError, ValueError) as exc:
-                raise _malformed(record, "platform", f"cannot be restored: {exc!r}") from exc
-        if len(miss):
-            try:
-                report = _report_from_state(record["report"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _malformed(record, "report", f"cannot be rebuilt: {exc!r}") from exc
+                raise _malformed(
+                    record, "bought", f"cannot be restored for job {ticket.index}: {exc!r}"
+                ) from exc
             if self.cache is not None:
-                # Replay rebuilds the store from records the original
-                # run already journaled; there is nothing new to append.
+                # Replay rebuilds the store from lines the original run
+                # already journaled; there is nothing new to append.
                 self.cache.store_batch(  # repro-lint: disable=FLOW003 -- replay of journaled data
                     ticket.fingerprint,
                     request.pool_name,
                     request.judgments_per_task,
                     request.indices_i[miss],
                     request.indices_j[miss],
-                    serve.fresh,
+                    answers[miss],
                 )
-        else:
-            report = _all_hit_report(answers)
         self.replayed_batches += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "resume_replayed",
                 job_index=ticket.index,
                 pool=request.pool_name,
-                seq=record["seq"],
+                tick=record["tick"],
                 tasks=request.size,
                 misses=len(miss),
             )
@@ -1424,20 +1510,8 @@ class CrowdScheduler:
         ticket.outcome = outcome
         outcomes.append(outcome)
         if self._journal is not None and ticket.index not in self._settled_journaled:
-            self._journal.append(
-                "settled",
-                job_index=ticket.index,
-                settle_index=outcome.settle_index,
-                status=status,
-                cost=outcome.cost,
-            )
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "checkpoint_written",
-                    job_index=ticket.index,
-                    settle_index=outcome.settle_index,
-                    status=status,
-                )
+            # Journaled in the next line, which fires ``checkpoint_written``.
+            self._settled_since.append(ticket)
         if self.tracer.enabled:
             self.tracer.event(
                 "job_settled",

@@ -515,6 +515,40 @@ class TestEffectOrdering:
             == []
         )
 
+    def test_journal_helper_then_store_clean(self):
+        assert (
+            hits(
+                {
+                    "repro/scheduler/engine.py": """
+                        def record(self, cache, lookup):
+                            self._journal_serve(lookup)
+                            cache.store_batch(lookup)
+
+                        def tick(self, cache):
+                            self._journal_tick(self.ticks)
+                            cache.flush_pending()
+                    """
+                },
+                "FLOW003",
+            )
+            == []
+        )
+
+    def test_opening_a_group_is_not_a_journal_call(self):
+        """Only an append or a commit orders the store behind the
+        journal; a call that merely opens a group does not."""
+        found = hits(
+            {
+                "repro/scheduler/engine.py": """
+                    def tick(self, cache, batch):
+                        self._journal.begin_group()
+                        cache.store_batch(batch)
+                """
+            },
+            "FLOW003",
+        )
+        assert len(found) == 1
+
     def test_list_append_is_not_a_journal_call(self):
         found = hits(
             {

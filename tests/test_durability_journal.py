@@ -1,9 +1,9 @@
 """Tests for repro.durability.journal (append-only CRC-framed journal).
 
-The framing contract under test: every append is fsynced whole;
-recovery reads the longest intact prefix, truncates anything after it
-(torn line, garbage, CRC failure), and leaves the file well-formed for
-further appends.
+The framing contract under test: appends are buffered and each commit
+lands its lines whole with one fsync; recovery reads the longest intact
+prefix, truncates anything after it (torn line, garbage, CRC failure),
+and leaves the file well-formed for further appends.
 """
 
 import json
@@ -12,19 +12,16 @@ import numpy as np
 import pytest
 
 from repro.durability import DurabilityError, JobJournal
-from repro.durability.journal import (
-    decode_flags,
-    decode_indices,
-    digest_pairs,
-    encode_flags,
-    encode_indices,
-)
+from repro.durability.journal import decode_flags, encode_flags
+from repro.scheduler.engine import _CompareRequest, _pairs_digest
 
 
 def fill(path, n=3):
+    """A journal of ``n`` tick lines, each committed on its own."""
     with JobJournal(path) as journal:
         for k in range(n):
-            journal.append("serve", seq=k, payload=[k, k + 1])
+            journal.append("tick", seq=k, payload=[k, k + 1])
+            journal.commit_group()
     return path
 
 
@@ -33,7 +30,7 @@ class TestRoundTrip:
         path = fill(tmp_path / "j.jsonl")
         records = JobJournal.recover(path)
         assert [r["seq"] for r in records] == [0, 1, 2]
-        assert all(r["kind"] == "serve" for r in records)
+        assert all(r["kind"] == "tick" for r in records)
 
     def test_missing_file_recovers_empty(self, tmp_path):
         assert JobJournal.recover(tmp_path / "absent.jsonl") == []
@@ -41,9 +38,30 @@ class TestRoundTrip:
     def test_append_counts(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")
         journal.append("header", a=1)
-        journal.append("serve", b=2)
+        journal.append("tick", b=2)
+        assert journal.appends == 0  # buffered until the commit
+        journal.commit_group()
         assert journal.appends == 2
         journal.close()
+
+    def test_commit_writes_the_buffered_lines_with_one_fsync(self, tmp_path, monkeypatch):
+        import repro.durability.journal as journal_module
+
+        fsyncs = []
+        real_fsync = journal_module.os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+        )
+        path = tmp_path / "j.jsonl"
+        with JobJournal(path) as journal:
+            journal.append("header", a=1)
+            journal.append("tick", b=2)
+            assert path.read_bytes() == b""
+            journal.commit_group()
+            journal.commit_group()  # nothing buffered: no write, no fsync
+            journal.append("tick", c=3)  # never committed: dropped
+        assert len(fsyncs) == 1
+        assert [r["kind"] for r in JobJournal.recover(path)] == ["header", "tick"]
 
 
 class TestTornTail:
@@ -51,7 +69,7 @@ class TestTornTail:
         path = fill(tmp_path / "j.jsonl")
         intact = path.read_bytes()
         with path.open("ab") as fh:
-            fh.write(b'{"crc": "dead", "kind": "serve", "seq"')  # torn mid-record
+            fh.write(b'{"crc": "dead", "kind": "tick", "seq"')  # torn mid-record
         records = JobJournal.recover(path)
         assert [r["seq"] for r in records] == [0, 1, 2]
         assert path.read_bytes() == intact
@@ -83,7 +101,8 @@ class TestTornTail:
         with path.open("ab") as fh:
             fh.write(b"garbage\n")
         fill_again = JobJournal(path)
-        fill_again.append("serve", seq=99)
+        fill_again.append("tick", seq=99)
+        fill_again.commit_group()
         fill_again.close()
         records = JobJournal.recover(path)
         assert [r["seq"] for r in records] == [r["seq"] for r in good]
@@ -94,7 +113,8 @@ class TestTornTail:
             fh.write(b'{"half a rec')
         JobJournal.recover(path)
         with JobJournal(path) as journal:
-            journal.append("settled", seq=3)
+            journal.append("tick", seq=3)
+            journal.commit_group()
         records = JobJournal.recover(path)
         assert [r["seq"] for r in records] == [0, 1, 2, 3]
 
@@ -102,31 +122,43 @@ class TestTornTail:
 class TestArrayCodec:
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 100])
     def test_round_trip(self, size):
+        """Flags round-trip, and so do miss positions carried as a mask."""
         rng = np.random.default_rng(size)
-        indices = rng.integers(0, 2**31 - 1, size=size)
         flags = rng.random(size) < 0.5
-        np.testing.assert_array_equal(decode_indices(encode_indices(indices)), indices)
+        positions = np.flatnonzero(rng.random(size) < 0.3)
+        mask = np.zeros(size, dtype=bool)
+        mask[positions] = True
         np.testing.assert_array_equal(decode_flags(encode_flags(flags), size), flags)
-
-    def test_out_of_range_index_is_refused(self):
-        with pytest.raises(ValueError):
-            encode_indices(np.array([2**31]))
+        np.testing.assert_array_equal(
+            np.flatnonzero(decode_flags(encode_flags(mask), size)), positions
+        )
 
     @pytest.mark.parametrize("text", ["not base64!", "AAA="])
-    def test_malformed_indices_raise_typed_error(self, text):
+    def test_malformed_flags_raise_typed_error(self, text):
         with pytest.raises(DurabilityError):
-            decode_indices(text)
+            decode_flags(text, 8)
 
     def test_flag_count_mismatch_raises_typed_error(self):
         with pytest.raises(DurabilityError):
             decode_flags(encode_flags(np.ones(9, dtype=bool)), 8)
 
     def test_pairs_digest_binds_order_orientation_and_length(self):
+        def requests(*pairs):
+            return [
+                _CompareRequest("crowd", np.asarray(i), np.asarray(j), np.zeros(len(i)),
+                                np.zeros(len(i)), 1)
+                for i, j in pairs
+            ]
+
         i, j = np.array([0, 5, 2]), np.array([1, 3, 4])
-        digest = digest_pairs(i, j)
+        digest = _pairs_digest(requests((i, j)))
         assert len(digest) == 32 and int(digest, 16) >= 0
-        assert digest_pairs(i.astype(np.int32), j.astype(np.int32)) == digest
-        assert digest_pairs(j, i) != digest
-        assert digest_pairs(i[::-1], j[::-1]) != digest
-        assert digest_pairs(i[:2], j[:2]) != digest
-        assert digest_pairs(i[:0], j[:0]) != digest_pairs(i[:1], j[:1])
+        assert _pairs_digest(requests((i.astype(np.int32), j.astype(np.int32)))) == digest
+        assert _pairs_digest(requests((j, i))) != digest
+        assert _pairs_digest(requests((i[::-1], j[::-1]))) != digest
+        assert _pairs_digest(requests((i[:2], j[:2]))) != digest
+        assert _pairs_digest(requests((i[:0], j[:0]))) != _pairs_digest(requests((i[:1], j[:1])))
+        # The digest binds where one request's pairs end and the next's begin.
+        split = _pairs_digest(requests((i[:1], j[:1]), (i[1:], j[1:])))
+        assert split != _pairs_digest(requests((i[:2], j[:2]), (i[2:], j[2:])))
+        assert split != digest

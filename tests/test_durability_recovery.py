@@ -4,11 +4,11 @@ The strongest durability claim gets the strongest test: a *separate
 process* running the durable workload (``tests/durable_workload.py``)
 is SIGKILLed partway through (its ``--crash-after`` flag arms the
 journal's ``crash_after_appends`` hook — a simulated power cut with no
-cleanup handlers), a second process resumes from the surviving state
-directory, and the resumed run's settle outcomes must be
-byte-identical to an uninterrupted control run — answers, costs,
-per-label ledgers — with the settled prefix replayed from the journal
-rather than re-bought.
+cleanup handlers, landing while a tick line is half written), a second
+process resumes from the surviving state directory, and the resumed
+run's settle outcomes must be byte-identical to an uninterrupted
+control run — answers, costs, per-label ledgers — with the journaled
+prefix replayed from the journal rather than re-bought.
 """
 
 import json
@@ -20,11 +20,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.durability import JobJournal
+
 REPO = Path(__file__).resolve().parent.parent
 JOBS = 4
-# Past the header and a few settled batches, well before the run ends
-# (the uninterrupted run journals dozens of appends at this size).
-CRASH_AFTER = 6
+# The kill lands in the third tick line: the header and two whole tick
+# lines survive, then half of the third (the uninterrupted run writes
+# seven lines at this size: the header, five ticks and a last line of
+# settled jobs).
+CRASH_AFTER = 4
 
 
 def run_workload(state_dir, *extra):
@@ -53,11 +57,13 @@ def outcomes(state_dir):
 
 @pytest.fixture(scope="module")
 def control(tmp_path_factory):
-    """One uninterrupted durable run, shared by the assertions below."""
+    """One uninterrupted durable run, shared by the assertions below,
+    with the number of requests its journal holds."""
     state = tmp_path_factory.mktemp("control")
     proc = run_workload(state)
     assert proc.returncode == 0, proc.stderr
-    return outcomes(state)
+    requests = sum(len(r["jobs"]) for r in JobJournal.recover(state / "journal.jsonl")[1:])
+    return {**outcomes(state), "requests": requests}
 
 
 class TestKillResume:
@@ -68,6 +74,10 @@ class TestKillResume:
         # The hook SIGKILLs the process: no exit handlers, no output.
         assert crashed.returncode == -signal.SIGKILL
         assert not (state / "outcomes.json").exists()
+        # The line it died on landed in part: a torn tick line.
+        written = (state / "journal.jsonl").read_bytes()
+        assert written.count(b"\n") == CRASH_AFTER - 1
+        assert not written.endswith(b"\n")
         resumed = run_workload(state)
         assert resumed.returncode == 0, resumed.stderr
         return state, resumed
@@ -91,9 +101,9 @@ class TestKillResume:
     ):
         state, _ = crashed_then_resumed
         run = outcomes(state)["run"]
-        # The journal held CRASH_AFTER appends: one header plus served
-        # batches (minus any settled markers); all of them must replay.
-        assert 0 < run["replayed_batches"] < CRASH_AFTER
+        # The journal kept the requests of the whole tick lines before
+        # the torn one; all of them replay, and the rest run live.
+        assert 0 < run["replayed_batches"] < control["requests"]
         assert run["replayed_operations"] > 0
         assert control["run"]["replayed_batches"] == 0
 

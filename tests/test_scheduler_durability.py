@@ -12,10 +12,10 @@ The resume contract under test (see docs/DURABILITY.md):
   loudly rather than replaying the wrong answers, and closes the store;
 * journals stamped with the removed ``fusion`` fact (either value)
   still resume bit-identically;
-* a serve record whose request differs from the live one (pairs digest,
-  pool, redundancy) is refused with ``JournalMismatchError``, and one
-  that passes its CRC but is malformed with a ``DurabilityError``
-  naming its ``seq`` and field;
+* a tick line that differs from the live tick (a job not admitted, the
+  pairs digest, a request's pool or redundancy) is refused with
+  ``JournalMismatchError``, and one that passes its CRC but is
+  malformed with a ``DurabilityError`` naming its ``tick`` and field;
 * invalidation evicts from the in-memory cache and the SQLite store
   together.
 """
@@ -35,7 +35,7 @@ from repro.durability import (
     JournalMismatchError,
     PersistentComparisonStore,
 )
-from repro.durability.journal import decode_flags, decode_indices, encode_flags, encode_indices
+from repro.durability.journal import decode_flags, encode_flags
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
 from repro.telemetry import Tracer
 
@@ -65,7 +65,6 @@ def rewrite_journal(path, edit):
     records = JobJournal.recover(path)
     path.unlink()
     with JobJournal(path) as journal:
-        journal.begin_group()
         for record in records:
             fields = edit({k: v for k, v in record.items() if k != "crc"})
             journal.append(fields.pop("kind"), **fields)
@@ -83,26 +82,30 @@ def write_v1_journal(path, stamp):
             payload.pop("format")
             if stamp is not None:
                 payload["format"] = stamp
-        elif payload["kind"] == "serve":
-            miss = decode_indices(payload["miss"])
-            payload["miss"] = miss.tolist()
-            payload["answers"] = decode_flags(
-                payload["answers"], payload["hits"] + len(miss)
-            ).tolist()
-            payload["fresh"] = decode_flags(payload["fresh"], len(miss)).tolist()
+        else:
+            pairs = sum(payload["sizes"])
+            miss = decode_flags(payload["miss"], pairs)
+            payload["miss"] = np.flatnonzero(miss).tolist()
+            payload["answers"] = decode_flags(payload["answers"], pairs).tolist()
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         crc = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
         lines.append(json.dumps({"crc": crc, **payload}, sort_keys=True) + "\n")
     path.write_text("".join(lines))
 
 
-def buying_serve_seqs(path):
-    """The ``seq`` of every serve record that bought something."""
+def buying_requests(path):
+    """``(tick, column)`` of every journaled request that bought something."""
     return [
-        r["seq"]
-        for r in JobJournal.recover(path)
-        if r["kind"] == "serve" and len(decode_indices(r["miss"]))
+        (r["tick"], k)
+        for r in JobJournal.recover(path)[1:]
+        for k, bought in enumerate(r["bought"])
+        if bought is not None
     ]
+
+
+def journaled_requests(records):
+    """How many requests the tick lines among ``records`` hold."""
+    return sum(len(r["jobs"]) for r in records if r["kind"] == "tick")
 
 
 def fingerprints(outcomes):
@@ -162,36 +165,63 @@ class TestResume:
             pytest.skip("prefix longer than the journal")
         journal_path.write_text("".join(lines[:keep_records]))
         (state / "comparisons.sqlite3").unlink()
-        kept_serves = sum(
-            1 for r in JobJournal.recover(journal_path) if r["kind"] == "serve"
-        )
+        kept_requests = journaled_requests(JobJournal.recover(journal_path))
         resumed, sched, _ = run_durable_workload(make_workload(), state)
         assert fingerprints(resumed) == fingerprints(first)
-        assert sched.replayed_batches == kept_serves
+        assert sched.replayed_batches == kept_requests
 
-    @pytest.mark.parametrize("settled_kept", [False, True], ids=["lost", "kept"])
-    def test_prefix_resume_at_buffered_settled_record(self, tmp_path, settled_kept):
-        """Crash points on a ``settled`` record that rode a tick's group
-        commit: lost, the job's record is appended again on resume;
-        kept, it is not duplicated.  Either way nothing is re-bought."""
+    def test_every_line_prefix_resumes_identically(self, tmp_path):
+        """Every crash state a run can leave: each whole-line prefix of
+        the journal, alone or followed by the first half of the next
+        line, with the store deleted (max-behind).  Each resumes
+        bit-identically, replays every request the prefix holds and
+        buys only what it lacks."""
         state = tmp_path / "state"
         first, _, _ = run_durable_workload(make_workload(), state)
         journal_path = state / "journal.jsonl"
         lines = journal_path.read_text().splitlines(keepends=True)
-        kinds = [r["kind"] for r in JobJournal.recover(journal_path)]
-        # The first settled record framed into a group with later serves.
+        bought = sum(o.ticket.platform.ledger.operations() for o in first)
+        for keep in range(1, len(lines)):
+            for torn in ("", lines[keep][: len(lines[keep]) // 2]):
+                journal_path.write_text("".join(lines[:keep]) + torn)
+                (state / "comparisons.sqlite3").unlink()
+                kept = JobJournal.recover(journal_path)
+                assert len(kept) == keep
+                resumed, sched, _ = run_durable_workload(make_workload(), state)
+                assert fingerprints(resumed) == fingerprints(first), (keep, bool(torn))
+                assert sched.replayed_batches == journaled_requests(kept)
+                replayed = sum(
+                    sum(count for _, count, _ in tape)
+                    for r in kept[1:]
+                    for tape in r["charges"]
+                )
+                assert sched.replayed_operations == replayed
+                rebought = sum(o.ticket.platform.ledger.operations() for o in resumed)
+                assert rebought - sched.replayed_operations == bought - replayed
+                assert journal_path.read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("settled_kept", [False, True], ids=["lost", "kept"])
+    def test_prefix_resume_at_buffered_settled_record(self, tmp_path, settled_kept):
+        """Crash points on the first tick line that carries both settled
+        jobs and served requests: lost, its jobs are journaled again on
+        resume; kept, they are not duplicated.  Either way nothing is
+        re-bought."""
+        state = tmp_path / "state"
+        first, _, _ = run_durable_workload(make_workload(), state)
+        journal_path = state / "journal.jsonl"
+        lines = journal_path.read_text().splitlines(keepends=True)
+        records = JobJournal.recover(journal_path)
         cut = next(
-            k for k in range(len(kinds) - 1)
-            if kinds[k] == "settled" and kinds[k + 1] == "serve"
+            k for k, r in enumerate(records) if r["kind"] == "tick" and r["settled"] and r["jobs"]
         )
         journal_path.write_text("".join(lines[: cut + int(settled_kept)]))
         (state / "comparisons.sqlite3").unlink()
-        kept_serves = kinds[:cut].count("serve")
+        kept_requests = journaled_requests(records[: cut + int(settled_kept)])
         resumed, sched, _ = run_durable_workload(make_workload(), state)
         assert fingerprints(resumed) == fingerprints(first)
-        assert sched.replayed_batches == kept_serves
+        assert sched.replayed_batches == kept_requests
         settled = [
-            r["job_index"] for r in JobJournal.recover(journal_path) if r["kind"] == "settled"
+            job for r in JobJournal.recover(journal_path)[1:] for job in r["settled"]
         ]
         assert sorted(settled) == sorted(o.ticket.index for o in first)
 
@@ -200,7 +230,7 @@ class TestResume:
         first, _, _ = run_durable_workload(make_workload(), state)
         journal_path = state / "journal.jsonl"
         with journal_path.open("ab") as fh:
-            fh.write(b'{"kind": "serve", "torn')
+            fh.write(b'{"kind": "tick", "torn')
         resumed, sched, _ = run_durable_workload(make_workload(), state)
         assert fingerprints(resumed) == fingerprints(first)
         assert sched.replayed_batches > 0
@@ -256,6 +286,41 @@ class TestResume:
         total_ops = sum(o.ticket.platform.ledger.operations() for o in resumed)
         assert sched.replayed_operations == total_ops > 0
 
+    def test_request_a_tick_line_lacks_is_journaled_in_a_line_of_its_own(self, tmp_path):
+        """A request that failed when its tick was journaled (a tenant
+        cap refused it) runs live when the tick replays.  Served this
+        time, it lands in a second line for the same tick, and the next
+        resume replays both lines with zero re-spend."""
+        state = tmp_path / "state"
+
+        def run(tenant_caps=None):
+            workload = make_workload()
+            scheduler = CrowdScheduler(
+                workload.pools(),
+                root_seed=workload.seed,
+                quantum=None,
+                tenant_caps=tenant_caps,
+                durability=DurabilityPolicy(state),
+            )
+            for k, job in enumerate(workload.jobs()):
+                scheduler.submit(job, tenant="capped" if k == 1 else "default")
+            return scheduler.run(), scheduler
+
+        capped, _ = run({"capped": 100.0})
+        assert {o.ticket.index: o.status for o in capped}[1] == "budget_exceeded"
+        first_ticks = [r["tick"] for r in JobJournal.recover(state / "journal.jsonl")[1:]]
+        uncapped, sched = run()
+        assert {o.ticket.index: o.status for o in uncapped}[1] == "ok"
+        assert sched.replayed_batches > 0
+        lines = JobJournal.recover(state / "journal.jsonl")[1:]
+        again = [r for r in lines[len(first_ticks) :] if 1 in r["jobs"]]
+        assert again and all(r["tick"] in first_ticks and r["jobs"] == [1] for r in again)
+        resumed, sched = run()
+        assert fingerprints(resumed) == fingerprints(uncapped)
+        total_ops = sum(o.ticket.platform.ledger.operations() for o in resumed)
+        assert sched.replayed_operations == total_ops
+        assert JobJournal.recover(state / "journal.jsonl")[1:] == lines
+
     def test_journal_rejects_different_job_count(self, tmp_path):
         state = tmp_path / "state"
         run_durable_workload(make_workload(), state)
@@ -265,8 +330,8 @@ class TestResume:
 
     @pytest.mark.parametrize(
         "stamp",
-        [None, "repro.journal/v1", "repro.journal/v2"],
-        ids=["unstamped", "v1", "v2"],
+        [None, "repro.journal/v1", "repro.journal/v2", "repro.journal/v3"],
+        ids=["unstamped", "v1", "v2", "v3"],
     )
     def test_journal_rejects_other_format(self, tmp_path, stamp):
         """A journal in an older format recovers intact but is refused at
@@ -274,17 +339,17 @@ class TestResume:
 
         The v1 and unstamped cases are written the way v1 wrote them:
         list-valued arrays, a header without a ``format`` stamp (or with
-        v1's), lines framed as ``json.dumps(record, sort_keys=True)``.  A
-        v1 serve record listed ``indices_i`` / ``indices_j``, which a v3
-        record no longer holds, so the rebuilt lines list what it does
-        hold (``miss``, ``answers``, ``fresh``) and keep the ``pairs``
-        digest.  The v2 case re-frames the v3 records as they stand under
-        a v2 header (v2 framed lines as v3 does).  The header refusal
-        never reads a serve record's arrays."""
+        v1's), lines framed as ``json.dumps(record, sort_keys=True)``.
+        The rebuilt lines list the tick lines' miss positions and answers
+        as JSON lists (v1 listed its arrays; the pair indices it also
+        listed are no longer journaled).  The v2 and v3 cases re-frame
+        the v4 lines as they stand under a v2 or v3 header (both framed
+        lines as v4 does).  The header refusal never reads a line
+        after the header."""
         state = tmp_path / "state"
         run_durable_workload(make_workload(), state)
         journal_path = state / "journal.jsonl"
-        if stamp == "repro.journal/v2":
+        if stamp in ("repro.journal/v2", "repro.journal/v3"):
 
             def restamp(record):
                 if record["kind"] == "header":
@@ -311,36 +376,55 @@ class TestResume:
         assert sum(1 for r in records if r["kind"] == "header") == 1
 
 
-def edit_serve(seq, change):
-    """A journal edit applying ``change`` to the serve record ``seq``."""
+def edit_serve(tick, k, change):
+    """A journal edit applying ``change(line, k)`` to the tick line
+    ``tick``, whose column ``k`` is the served request to edit."""
 
     def edit(record):
-        if record["kind"] == "serve" and record["seq"] == seq:
-            change(record)
+        if record["kind"] == "tick" and record["tick"] == tick:
+            change(record, k)
         return record
 
     return edit
 
 
-def out_of_range_miss(record):
-    miss = decode_indices(record["miss"])
-    miss[-1] = record["hits"] + len(miss)
-    record["miss"] = encode_indices(miss)
+def flags(record, name):
+    return decode_flags(record[name], sum(record["sizes"]))
 
 
-def decreasing_miss(record):
-    miss = decode_indices(record["miss"])
-    miss[-2:] = miss[-2:][::-1].copy()
-    record["miss"] = encode_indices(miss)
+def long_miss(record, k):
+    record["miss"] = encode_flags(np.concatenate([flags(record, "miss"), np.zeros(8, bool)]))
 
 
-def long_fresh(record):
-    record["fresh"] = encode_flags(np.zeros(len(decode_indices(record["miss"])) + 8, dtype=bool))
+def short_answers(record, k):
+    record["answers"] = encode_flags(flags(record, "answers")[:-8])
+
+
+def set_column(name, value):
+    def change(record, k):
+        record[name][k] = value(record[name][k])
+
+    return change
+
+
+def repeat_job(record, k):
+    record["jobs"][k] = record["jobs"][k - 1]
+
+
+def hit_with_bought(record, k):
+    """Give request ``k``'s bought state to the first all-hit request."""
+    missed = flags(record, "miss")
+    starts = np.cumsum([0, *record["sizes"]])
+    hit = next(
+        h for h in range(len(record["jobs"])) if not missed[starts[h] : starts[h + 1]].any()
+    )
+    record["bought"][hit] = record["bought"][k]
 
 
 class TestReplayChecks:
-    """A rewritten, re-CRC'd journal reaches the per-record checks that
-    run after the header matched."""
+    """A rewritten, re-CRC'd journal reaches the checks that run after
+    the header matched: line validation at recovery, then the tick and
+    request checks at replay."""
 
     def journal(self, tmp_path):
         state = tmp_path / "state"
@@ -350,60 +434,84 @@ class TestReplayChecks:
     @pytest.mark.parametrize(
         "change, field",
         [
-            (lambda r: r.pop("miss"), "miss"),
-            (lambda r: r.pop("hits"), "hits"),
-            (out_of_range_miss, "miss"),
-            (decreasing_miss, "miss"),
-            (long_fresh, "fresh"),
-            (lambda r: r.update(hits=str(r["hits"])), "hits"),
-            (lambda r: r.update(report=None), "report"),
-            (lambda r: r.update(charges=[["crowd", 1]]), "charges"),
+            (lambda r, k: r.pop("miss"), "miss"),
+            (lambda r, k: r.pop("sizes"), "sizes"),
+            (long_miss, "miss"),
+            (short_answers, "answers"),
+            (set_column("sizes", str), "sizes"),
+            (set_column("bought", lambda b: None), "bought"),
+            (hit_with_bought, "bought"),
+            (set_column("charges", lambda c: [["crowd", 1]]), "charges"),
+            (lambda r, k: r["pools"].pop(), "pools"),
+            (repeat_job, "jobs"),
+            (lambda r, k: r["settled"].append("0"), "settled"),
         ],
         ids=[
             "no-miss",
-            "no-hits",
-            "miss-out-of-range",
-            "miss-not-increasing",
-            "fresh-length",
-            "hits-type",
-            "no-report",
+            "no-sizes",
+            "miss-length",
+            "answers-length",
+            "sizes-type",
+            "no-bought",
+            "hit-with-bought",
             "charge-shape",
+            "column-length",
+            "job-twice",
+            "settled-type",
         ],
     )
     def test_malformed_serve_record_raises_typed_error(self, tmp_path, change, field):
+        """A served request's entry in a tick line, or the line around it,
+        malformed: refused at recovery, naming the tick and field."""
         state, journal_path = self.journal(tmp_path)
-        seq = buying_serve_seqs(journal_path)[1]
-        rewrite_journal(journal_path, edit_serve(seq, change))
-        with pytest.raises(DurabilityError, match=rf"seq={seq}: '{field}'") as info:
+        tick, k = next(
+            (t, k)
+            for t, k in buying_requests(journal_path)
+            if len(JobJournal.recover(journal_path)[t]["jobs"]) > 2
+        )
+        rewrite_journal(journal_path, edit_serve(tick, k, change))
+        with pytest.raises(DurabilityError, match=rf"tick={tick}: '{field}'") as info:
             run_durable_workload(make_workload(), state)
         assert not isinstance(info.value, JournalMismatchError)
 
     def test_swapped_pairs_digest_is_refused(self, tmp_path):
         state, journal_path = self.journal(tmp_path)
-        serves = [r for r in JobJournal.recover(journal_path) if r["kind"] == "serve"]
-        victim = serves[0]
-        other = next(r for r in serves if r["pairs"] != victim["pairs"])
+        lines = JobJournal.recover(journal_path)[1:]
+        victim = lines[0]
+        other = next(r for r in lines if r["jobs"] and r["pairs"] != victim["pairs"])
         rewrite_journal(
             journal_path,
-            edit_serve(victim["seq"], lambda r: r.update(pairs=other["pairs"])),
+            edit_serve(victim["tick"], 0, lambda r, k: r.update(pairs=other["pairs"])),
         )
         with pytest.raises(JournalMismatchError) as info:
             run_durable_workload(make_workload(), state)
-        assert info.value.field == "request.pairs"
+        assert info.value.field == "tick.pairs"
         assert (info.value.recorded, info.value.actual) == (other["pairs"], victim["pairs"])
+
+    def test_unadmitted_job_is_refused(self, tmp_path):
+        state, journal_path = self.journal(tmp_path)
+        victim = JobJournal.recover(journal_path)[1]
+        absent = next(j for j in range(len(make_workload().jobs())) if j not in victim["jobs"])
+        rewrite_journal(
+            journal_path, edit_serve(victim["tick"], 0, set_column("jobs", lambda j: absent))
+        )
+        with pytest.raises(JournalMismatchError) as info:
+            run_durable_workload(make_workload(), state)
+        assert info.value.field == "tick.jobs"
+        assert absent in info.value.recorded and absent not in info.value.actual
 
     @pytest.mark.parametrize(
         "change, field",
         [
-            (lambda r: r.update(pool="experts" if r["pool"] == "crowd" else "crowd"), "pool"),
-            (lambda r: r.update(judgments=r["judgments"] + 1), "judgments"),
+            (set_column("pools", lambda p: "experts" if p == "crowd" else "crowd"), "pool"),
+            (set_column("judgments", lambda j: j + 1), "judgments"),
         ],
         ids=["pool", "judgments"],
     )
     def test_request_mismatch_is_refused(self, tmp_path, change, field):
         state, journal_path = self.journal(tmp_path)
-        seq = buying_serve_seqs(journal_path)[0]
-        rewrite_journal(journal_path, edit_serve(seq, change))
+        tick, k = buying_requests(journal_path)[0]
+        rewrite_journal(journal_path, edit_serve(tick, k, change))
         with pytest.raises(JournalMismatchError) as info:
             run_durable_workload(make_workload(), state)
         assert info.value.field == f"request.{field}"
@@ -411,8 +519,9 @@ class TestReplayChecks:
 
 class TestGroupCommit:
     def test_settled_records_ride_the_tick_group(self, tmp_path, monkeypatch):
-        """One fsync for the header, one per tick, and one final group
-        for the jobs that finish in the last tick — never one per job."""
+        """One fsync for the header, one per tick, and one final line
+        for the jobs that finish in the last tick — never one per job
+        or per request."""
         import repro.durability.journal as journal_module
 
         fsyncs = []
@@ -423,7 +532,9 @@ class TestGroupCommit:
         outcomes, sched, _ = run_durable_workload(make_workload(), tmp_path / "state")
         assert len(fsyncs) == 1 + sched.ticks + 1
         records = JobJournal.recover(tmp_path / "state" / "journal.jsonl")
-        assert sum(r["kind"] == "settled" for r in records) == len(outcomes)
+        assert [r["kind"] for r in records] == ["header"] + ["tick"] * (sched.ticks + 1)
+        assert [r["tick"] for r in records[1:]] == list(range(1, sched.ticks + 2))
+        assert sum(len(r["settled"]) for r in records[1:]) == len(outcomes)
 
 
 class TestWarmCache:

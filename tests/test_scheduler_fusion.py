@@ -35,12 +35,13 @@ class SerialScheduler(CrowdScheduler):
     """
 
     def _settle_requests(self, admitted):
+        replay = self._replayed(admitted)
         for ticket in admitted:
             request, ticket.request = ticket.request, None
             ticket._inflight = request
-            queue = self._replay.get(ticket.index)
-            if queue:
-                self._replay_serve(ticket, request, queue.popleft())
+            slot = replay.get(ticket.index)
+            if slot is not None:
+                self._replay_serve(ticket, request, *slot)
                 continue
             lookup = self._lookup(ticket, request)
             if len(lookup.miss):

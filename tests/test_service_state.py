@@ -214,7 +214,14 @@ class TestCancelOrder:
         assert stream[kinds.index("job_settled")]["status"] == "cancelled"
 
     def test_cancels_racing_the_runner_lose_no_event(self):
-        """The loop cancels jobs while the runner thread holds and releases."""
+        """The loop cancels jobs while the runner thread holds and releases.
+
+        Each generation holds its events until the paced canceller has
+        made one full pass that began after the generation's jobs were
+        marked running, so every generation takes cancels while its
+        events are held; the canceller keeps running throughout, so
+        cancels also land during the hand-off and the settles.
+        """
         TICKS = 100
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -225,14 +232,21 @@ class TestCancelOrder:
             state = ServiceState(loop, max_queued=1000)
             records = [state.submit(TENANT, small_spec(seed=s)) for s in range(240)]
             cancels = {record.job_id: 0 for record in records}
+            passes, passed = [0], threading.Condition()
 
             def runner():
                 while batch := state.take_batch(8, timeout=0):
                     held = state.hold_events()
                     for record in batch:
                         state.mark_running(record, 1, None)
+                    with passed:
+                        # The pass under way may have begun before the
+                        # marks; the one after it began after them.
+                        target = passes[0] + 2
                     for k in range(TICKS):
                         held.extend((record, {"kind": "tick", "k": k}) for record in batch)
+                    with passed:
+                        assert passed.wait_for(lambda: passes[0] >= target, timeout=10)
                     state.release_events()
                     for record in batch:
                         state.settle(record, "ok", None, None, 1.0)
@@ -251,6 +265,9 @@ class TestCancelOrder:
                             cancels[record.job_id] += 1
                         except ConflictError:
                             pass  # settled in between
+                    with passed:
+                        passes[0] += 1
+                        passed.notify_all()
                     await asyncio.sleep(0.0002)
 
             thread.start()
