@@ -172,72 +172,10 @@ class ComparisonOracle:
     def compare(self, i: int, j: int) -> int:
         """Winner of the comparison between elements ``i`` and ``j``.
 
-        Scalar fast path: shares the memo, counter, ledger, and
-        telemetry logic of :meth:`compare_pairs` without building any
-        batch arrays — the remaining scalar call sites (the adaptive
-        loops of ``randomized_maxfind`` and phase 2) are inherently
-        sequential, so this path is their hot path.  Answers are
-        bit-identical to a length-1 :meth:`compare_pairs` call: a fresh
-        pair is resolved through the same ``model.decide`` invocation
-        (length-1 arrays, same RNG consumption).
+        A length-1 :meth:`compare_pairs` call: the same validation,
+        memo, counters, ledger charge and ``oracle_batch`` record.
         """
-        i = int(i)
-        j = int(j)
-        if i == j:
-            raise ValueError("a worker never receives two copies of the same element")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError("element index out of range")
-        self.requests += 1
-        winner = -1
-        if self.memoize:
-            if self._memo_matrix is not None:
-                state = int(self._memo_matrix[i, j])
-                if state != 0:
-                    winner = i if state == 1 else j
-            else:
-                assert self._memo_dict is not None
-                lo, hi = (i, j) if i < j else (j, i)
-                stored = self._memo_dict.get(lo * self.n + hi)
-                if stored is not None:
-                    winner = lo if stored else hi
-        known = winner >= 0
-        if not known:
-            # decide_single routes through the same length-1 ``decide``
-            # call compare_pairs would make, so the RNG stream (and
-            # therefore the answer) is identical to the batched path.
-            first_wins = self.model.decide_single(
-                float(self.values[i]), float(self.values[j]), self.rng, i, j
-            )
-            winner = i if first_wins else j
-            self.comparisons += 1
-            if self.ledger is not None:
-                self.ledger.charge(self.label, 1, self.cost_per_comparison)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "ledger_charge",
-                        label=self.label,
-                        count=1,
-                        unit_cost=self.cost_per_comparison,
-                    )
-            if self.memoize:
-                if self._memo_matrix is not None:
-                    self._memo_matrix[i, j] = 1 if first_wins else 2
-                    self._memo_matrix[j, i] = 2 if first_wins else 1
-                else:
-                    assert self._memo_dict is not None
-                    lo, hi = (i, j) if i < j else (j, i)
-                    self._memo_dict[lo * self.n + hi] = winner == lo
-                self._memo_stored += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "oracle_batch",
-                label=self.label,
-                requests=1,
-                fresh=0 if known else 1,
-                memo_hits=1 if known else 0,
-                batch_dupes=0,
-            )
-        return winner
+        return int(self.compare_pairs(np.array([i]), np.array([j]))[0])
 
     def compare_pairs(
         self,

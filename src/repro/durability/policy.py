@@ -4,9 +4,10 @@ A :class:`DurabilityPolicy` names one state directory and switches on
 the two durable artifacts that live inside it:
 
 * ``comparisons.sqlite3`` — the persistent comparison store backing
-  the cross-job memo cache (:mod:`repro.durability.store`);
+  the cross-job memo cache (:mod:`repro.durability.store`), written
+  whenever the scheduler has a cache;
 * ``journal.jsonl`` — the append-only job journal that makes a killed
-  run resumable (:mod:`repro.durability.journal`).
+  run resumable (:mod:`repro.durability.journal`), always written.
 
 Durability is strictly opt-in: without a policy the scheduler behaves
 exactly as before and writes nothing.
@@ -31,15 +32,6 @@ class DurabilityPolicy:
         on first use.  Reusing the directory across runs is the point:
         the comparison store warms future runs, and the journal lets a
         killed run resume.
-    persist_cache:
-        Keep the cross-job comparison cache in SQLite (warm-start +
-        write-through).  Requires the scheduler's ``cache=True``.
-    journal:
-        Record the run's settled batches so it can resume after a
-        crash.
-    cache_filename / journal_filename:
-        Artifact names inside ``store_path`` — overridable so tests can
-        point several configurations at one directory.
     crash_after_appends:
         Passed through to :class:`~repro.durability.journal.JobJournal`;
         a crash-harness hook that SIGKILLs the process while it writes
@@ -48,10 +40,6 @@ class DurabilityPolicy:
     """
 
     store_path: str | Path
-    persist_cache: bool = True
-    journal: bool = True
-    cache_filename: str = "comparisons.sqlite3"
-    journal_filename: str = "journal.jsonl"
     crash_after_appends: int | None = None
 
     @property
@@ -62,9 +50,9 @@ class DurabilityPolicy:
     @property
     def cache_path(self) -> Path:
         """Where the persistent comparison store lives."""
-        return self.root / self.cache_filename
+        return self.root / "comparisons.sqlite3"
 
     @property
     def journal_path(self) -> Path:
         """Where the job journal lives."""
-        return self.root / self.journal_filename
+        return self.root / "journal.jsonl"

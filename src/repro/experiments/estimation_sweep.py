@@ -82,13 +82,6 @@ class EstimationCell:
     max_survived: int = 0
     trials: int = 0
 
-    @property
-    def survival_rate(self) -> float:
-        """Fraction of trials whose phase-1 set contained the true max."""
-        if self.trials == 0:
-            raise ValueError("no trials recorded")
-        return self.max_survived / self.trials
-
     def mean(self, attribute: str) -> float:
         samples = getattr(self, attribute)
         if not samples:

@@ -190,7 +190,7 @@ def _execute_payload(payload: tuple[RunSpec, str | None]) -> RunResult:
         # Parent is untraced: give the run the zero-overhead no-op
         # tracer so hot paths skip record assembly entirely.
         return _run_one(spec, NULL_TRACER)
-    run_tracer = Tracer(sink=JsonlSink(shard_path), buffer=False)
+    run_tracer = Tracer(sink=JsonlSink(shard_path))
     try:
         result = _run_one(spec, run_tracer)
     finally:

@@ -185,6 +185,16 @@ def fast_model_groups(pool: WorkerPool) -> tuple[list[WorkerModel], np.ndarray]:
 class CrowdPlatform:
     """A simulated crowdsourcing platform with pools, gold, and accounting.
 
+    A batch that needs none of the resilience machinery (no gold, no
+    active faults, no deadline / attempt limit / fallback pool, no hard
+    cap, no bans, full availability, every model supports
+    uniform-driven decisions) settles from ndarrays — one vectorized
+    decide per worker model — instead of the physical-step loop.  Its
+    judgment draws come from a private counter-based Philox stream (see
+    ``docs/PERFORMANCE.md``): deterministic and invariant to how a task
+    sequence is split into batches, but *not* bit-identical to the step
+    loop's draws.
+
     Parameters
     ----------
     pools:
@@ -205,18 +215,6 @@ class CrowdPlatform:
         Default retry policy for every batch; individual
         ``submit_batch`` calls may override it.  Defaults to graceful
         settling with unlimited attempts and no deadline.
-    vectorized:
-        Enable the batched fast path: when a batch needs none of the
-        resilience machinery (no gold, no active faults, no deadline /
-        attempt limit / fallback pool, no hard cap, no bans, full
-        availability, every model supports uniform-driven decisions),
-        the whole batch is settled from ndarrays — one vectorized
-        decide per worker model — instead of the physical-step loop.
-        Judgment-level draws then come from a private counter-based
-        Philox stream (see ``docs/PERFORMANCE.md``), so fast-path
-        results are deterministic and invariant to how a task sequence
-        is split into batches, but *not* bit-identical to the step
-        loop's draws.  Set ``False`` to force the step loop everywhere.
     tracer:
         Telemetry tracer; one ``platform_batch`` record is emitted per
         logical step (batch submitted), plus ``fault_injected`` /
@@ -234,7 +232,6 @@ class CrowdPlatform:
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         tracer: Tracer | None = None,
-        vectorized: bool = True,
     ):
         if not pools:
             raise ValueError("the platform needs at least one worker pool")
@@ -245,7 +242,6 @@ class CrowdPlatform:
         self.faults = faults
         self.retry = retry if retry is not None else _DEFAULT_RETRY
         self.tracer = resolve_tracer(tracer)
-        self.vectorized = vectorized
         #: Logical steps executed (batches submitted).
         self.logical_steps = 0
         #: Physical steps executed across all batches.
@@ -418,8 +414,6 @@ class CrowdPlatform:
         self, pool: WorkerPool, policy: RetryPolicy, max_required: int
     ) -> bool:
         """The task-independent half of the fast-path eligibility check."""
-        if not self.vectorized:
-            return False
         if self.gold is not None:
             return False
         if policy.deadline_steps is not None or policy.max_attempts is not None:

@@ -408,6 +408,27 @@ class _TenantPlatform(CrowdPlatform):
         )
 
 
+class _JobTracer(Tracer):
+    """One ticket's view of the scheduler's tracer.
+
+    Every record goes straight to the parent, stamped with the ticket's
+    ``job_index``, and counters and timers land in the parent's
+    registry, so a job's records reach the scheduler's trace (and its
+    sink) as they are emitted, in one ``seq`` order with everything
+    else.  The view itself keeps nothing.
+    """
+
+    def __init__(self, parent: Tracer, job_index: int):
+        super().__init__()
+        self.metrics = parent.metrics
+        self._parent = parent
+        self._job_index = job_index
+
+    def event(self, kind: str, **fields: Any) -> None:
+        """Emit ``kind`` on the parent tracer, stamped with ``job_index``."""
+        self._parent.event(kind, job_index=self._job_index, **fields)
+
+
 class JobTicket:
     """Handle for one admitted job; resolves to a :class:`JobOutcome`.
 
@@ -435,6 +456,7 @@ class JobTicket:
         self.outcome: JobOutcome | None = None
         #: Tasks served per pool, the fair-share bookkeeping.
         self.served: dict[str, int] = {}
+        #: The job's view of the scheduler's tracer, set at launch.
         self.tracer: Tracer = NULL_TRACER
         self.platform: _TenantPlatform | None = None
         #: The job's suspended step generator.
@@ -543,17 +565,21 @@ class CrowdScheduler:
         for tenants missing from the dict are created lazily (with
         ``tenant_caps``) and left in it.
     tracer:
-        Telemetry destination.  Scheduler-level records
-        (``job_admitted`` / ``scheduler_tick`` / ``batch_coalesced`` /
-        ``cache_hit`` / ``job_settled``) are emitted live; each job's
-        own records are buffered and replayed in admission order after
-        the run, stamped with ``job_index`` (mirroring the parallel
-        engine's shard replay).
+        Telemetry destination, one live stream.  Each ticket gets a
+        view of it that stamps ``job_index``: the job, its tenant
+        platform and the scheduler's job-scoped records
+        (``job_admitted`` / ``cache_hit`` / ``resume_replayed`` /
+        ``checkpoint_written`` / ``job_settled``) emit through it,
+        while tick-level records (``scheduler_tick`` /
+        ``batch_coalesced`` / ``batch_fused`` / ``journal_append``)
+        carry no ``job_index``.  Every record lands once, as it is
+        emitted, so a job's records lie between its ``job_admitted``
+        and its ``job_settled``.
     durability:
         Opt-in durable state (see :mod:`repro.durability` and
-        ``docs/DURABILITY.md``).  With ``persist_cache``, the cross-job
-        cache is backed by SQLite and warm-starts from previous runs;
-        with ``journal``, each tick's settled batches are journaled as
+        ``docs/DURABILITY.md``).  A scheduler built with ``cache=True``
+        backs its cross-job cache with SQLite, warm-started from
+        previous runs.  Each tick's settled batches are journaled as
         one line before they become observable anywhere else, and
         :meth:`run` transparently *resumes* when the policy's journal
         already holds lines for the identical workload — journaled
@@ -598,7 +624,7 @@ class CrowdScheduler:
         self.durability = durability
         self._owns_cache = False
         if cache is True:
-            if durability is not None and durability.persist_cache:
+            if durability is not None:
                 self.cache: ComparisonMemoCache | None = DurableComparisonCache(
                     PersistentComparisonStore(durability.cache_path),
                     tracer=self.tracer,
@@ -610,7 +636,7 @@ class CrowdScheduler:
             self.cache = None
         else:
             self.cache = cache
-        if durability is not None and durability.journal and gold is not None:
+        if durability is not None and gold is not None:
             warnings.warn(
                 "journaled durability with a gold policy: gold bans mutate "
                 "shared worker state that journal replay does not "
@@ -743,8 +769,6 @@ class CrowdScheduler:
                 self._journal.close()
             if self._owns_cache and isinstance(self.cache, DurableComparisonCache):
                 self.cache.close()
-        for ticket in self._tickets:
-            self._replay_job_trace(ticket)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -768,7 +792,7 @@ class CrowdScheduler:
 
     def _open_journal(self) -> None:
         policy = self.durability
-        if policy is None or not policy.journal:
+        if policy is None:
             return
         records = JobJournal.recover(policy.journal_path)
         facts = self._journal_facts()
@@ -808,7 +832,9 @@ class CrowdScheduler:
         platform call right here, on the scheduler's own thread, in
         admission order.
         """
-        ticket.tracer = Tracer(buffer=True) if self.tracer.enabled else NULL_TRACER
+        ticket.tracer = (
+            _JobTracer(self.tracer, ticket.index) if self.tracer.enabled else NULL_TRACER
+        )
         ticket.platform = _TenantPlatform(
             pools=self.pools,
             rng=ticket._platform_rng,
@@ -826,10 +852,9 @@ class CrowdScheduler:
             ticket._error = JobCancelledError(ticket.index)
             ticket.done = True
             return
-        if self.tracer.enabled:
-            self.tracer.event(
+        if ticket.tracer.enabled:
+            ticket.tracer.event(
                 "job_admitted",
-                job_index=ticket.index,
                 job_kind=ticket.job.kind,
                 tenant=ticket.tenant,
                 fingerprint=ticket.fingerprint[:12],
@@ -1088,13 +1113,9 @@ class CrowdScheduler:
         missed = ~hit_mask
         miss = np.flatnonzero(missed)
         hits = int(request.size - len(miss))
-        if self.tracer.enabled and hits:
-            self.tracer.event(
-                "cache_hit",
-                job_index=ticket.index,
-                pool=request.pool_name,
-                hits=hits,
-                misses=len(miss),
+        if ticket.tracer.enabled and hits:
+            ticket.tracer.event(
+                "cache_hit", pool=request.pool_name, hits=hits, misses=len(miss)
             )
         return _Lookup(ticket, request, miss, answers, missed)
 
@@ -1379,9 +1400,8 @@ class CrowdScheduler:
             )
             for ticket in settled:
                 assert ticket.outcome is not None
-                self.tracer.event(
+                ticket.tracer.event(
                     "checkpoint_written",
-                    job_index=ticket.index,
                     settle_index=ticket.outcome.settle_index,
                     status=ticket.outcome.status,
                     tick=tick,
@@ -1439,13 +1459,9 @@ class CrowdScheduler:
             # Mirror the original lookup's traffic counters and event.
             self.cache.hits += hits
             self.cache.misses += len(miss)
-            if self.tracer.enabled and hits:
-                self.tracer.event(
-                    "cache_hit",
-                    job_index=ticket.index,
-                    pool=request.pool_name,
-                    hits=hits,
-                    misses=len(miss),
+            if ticket.tracer.enabled and hits:
+                ticket.tracer.event(
+                    "cache_hit", pool=request.pool_name, hits=hits, misses=len(miss)
                 )
         assert ticket.platform is not None
         for label, count, unit_cost in record["charges"][k]:
@@ -1474,10 +1490,9 @@ class CrowdScheduler:
                     answers[miss],
                 )
         self.replayed_batches += 1
-        if self.tracer.enabled:
-            self.tracer.event(
+        if ticket.tracer.enabled:
+            ticket.tracer.event(
                 "resume_replayed",
-                job_index=ticket.index,
                 pool=request.pool_name,
                 tick=record["tick"],
                 tasks=request.size,
@@ -1488,7 +1503,7 @@ class CrowdScheduler:
         request.report = report
 
     # ------------------------------------------------------------------
-    # Settling / telemetry merge
+    # Settling
     # ------------------------------------------------------------------
     def _settle(self, ticket: JobTicket, outcomes: list[JobOutcome]) -> None:
         error = ticket._error
@@ -1512,36 +1527,11 @@ class CrowdScheduler:
         if self._journal is not None and ticket.index not in self._settled_journaled:
             # Journaled in the next line, which fires ``checkpoint_written``.
             self._settled_since.append(ticket)
-        if self.tracer.enabled:
-            self.tracer.event(
+        if ticket.tracer.enabled:
+            ticket.tracer.event(
                 "job_settled",
-                job_index=ticket.index,
                 settle_index=outcome.settle_index,
                 status=status,
                 tenant=ticket.tenant,
                 cost=round(outcome.cost, 9),
             )
-
-    def _replay_job_trace(self, ticket: JobTicket) -> None:
-        """Replay one job's buffered records into the scheduler trace.
-
-        Mirrors the parallel engine's shard replay: job-local ``seq`` /
-        ``t`` are preserved as ``job_seq`` / ``job_t`` and the parent
-        stamps its own ordering, so the merged trace is totally ordered
-        with per-job provenance.  Called in admission order.
-        """
-        if not self.tracer.enabled or ticket.tracer is NULL_TRACER:
-            return
-        for record in ticket.tracer.records:
-            fields = dict(record)
-            kind = fields.pop("kind", "unknown")
-            fields["job_seq"] = fields.pop("seq", None)
-            fields["job_t"] = fields.pop("t", None)
-            fields.pop("job_index", None)
-            self.tracer.event(kind, job_index=ticket.index, **fields)
-        for name, counter in ticket.tracer.metrics.counters.items():
-            self.tracer.metrics.counter(name).add(counter.value)
-        for name, timer in ticket.tracer.metrics.timers.items():
-            merged = self.tracer.metrics.timer(name)
-            merged.total_seconds += timer.total_seconds
-            merged.count += timer.count

@@ -20,13 +20,14 @@ Two pieces of state deliberately outlive a generation:
   is the HTTP↔in-process parity contract ``tests/test_service_http.py``
   and the ``http_load`` benchmark workload check.
 
-Per-job telemetry is bridged per generation: an
-:class:`_EventBridgeSink` appends every scheduler record carrying a
-``job_index`` to the generation's held events
-(:meth:`ServiceState.hold_events`), which reach the owning jobs' event
-streams (the ``/events`` endpoint) in one loop call when the
-generation ends, before any of its jobs settles.  A host-provided
-sink is teed live.
+Per-job telemetry is bridged per generation: the scheduler stamps
+``job_index`` on every job-scoped record as it is emitted, and an
+:class:`_EventBridgeSink` appends each such record to the generation's
+held events (:meth:`ServiceState.hold_events`), which reach the owning
+jobs' event streams (the ``/events`` endpoint) in emission order, in
+one loop call when the generation ends, before any of its jobs
+settles.  A job's ``job_settled`` is therefore the last record of its
+stream.  A host-provided sink is teed live.
 """
 
 from __future__ import annotations
@@ -101,14 +102,15 @@ class ServiceConfig:
 class _EventBridgeSink:
     """A :class:`TraceSink` that routes job-stamped records to the wire.
 
-    The scheduler emits live events (``job_admitted``, ``job_settled``,
-    ``scheduler_tick``, ...) and replays each job's buffered records
-    stamped with ``job_index`` after the run.  Records carrying a
-    ``job_index`` belonging to this generation are appended, in
-    emission order, to ``outbox`` — the generation's held events,
-    which ``ServiceState.release_events`` publishes onto their jobs'
-    ``/events`` streams with one loop hand-off.  Everything is also
-    teed to the host sink, as it is written, when one is configured.
+    The scheduler emits every record live: job-scoped ones
+    (``job_admitted``, the job's spans and batches, ``job_settled``)
+    carry a ``job_index``, tick-level ones (``scheduler_tick``, ...)
+    do not.  Records carrying a ``job_index`` belonging to this
+    generation are copied, in emission order, to ``outbox`` — the
+    generation's held events, which ``ServiceState.release_events``
+    publishes onto their jobs' ``/events`` streams with one loop
+    hand-off.  Everything is also teed to the host sink, as it is
+    written, when one is configured.
     """
 
     def __init__(
@@ -163,11 +165,6 @@ class ServiceRunner:
         """Signal the runner loop to exit and join its thread."""
         self._stop.set()
         self._thread.join(timeout)
-
-    def tenant_spent(self, tenant: str) -> float:
-        """Lifetime spend of a tenant across every generation so far."""
-        ledger = self._tenant_ledgers.get(tenant)
-        return 0.0 if ledger is None else ledger.total_cost
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:

@@ -116,21 +116,17 @@ class Tracer:
     ----------
     sink:
         Optional destination written per record (e.g. a
-        :class:`JsonlSink`).  Without a sink, records are buffered on
-        ``self.records`` — convenient for tests and small runs.  With a
-        sink, buffering is off by default to keep long traces out of
-        memory; pass ``buffer=True`` to keep both.
-    buffer:
-        Force in-memory buffering on or off (default: buffer exactly
-        when there is no sink).
+        :class:`JsonlSink`).  A tracer buffers records on
+        ``self.records`` exactly when it has no sink — convenient for
+        tests and small runs — and streams them to the sink otherwise,
+        keeping long traces out of memory.
     """
 
     #: Hot paths guard emission on this flag; the no-op subclass flips it.
     enabled = True
 
-    def __init__(self, sink: TraceSink | None = None, buffer: bool | None = None):
+    def __init__(self, sink: TraceSink | None = None):
         self.sink = sink
-        self._buffer = buffer if buffer is not None else (sink is None)
         self.records: list[dict[str, Any]] = []
         self.metrics = MetricsRegistry()
         self._seq = 0
@@ -148,9 +144,9 @@ class Tracer:
             **fields,
         }
         self._seq += 1
-        if self._buffer:
+        if self.sink is None:
             self.records.append(record)
-        if self.sink is not None:
+        else:
             self.sink.write(record)
 
     @contextmanager
@@ -222,9 +218,6 @@ class NullTracer(Tracer):
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(sink=None, buffer=False)
 
     def event(self, kind: str, **fields: Any) -> None:  # noqa: D102 - inherited
         pass

@@ -34,6 +34,7 @@ from repro.jobs import CrowdMaxJob, CrowdTopKJob, JobPhaseConfig
 from repro.platform.workforce import WorkerPool
 from repro.scheduler import CrowdScheduler, DurableComparisonCache
 from repro.scheduler.engine import JobOutcome
+from repro.telemetry import Tracer
 from repro.workers.threshold import ThresholdWorkerModel
 
 #: Schema tag of the ``outcomes.json`` parity artifact the script writes.
@@ -119,6 +120,7 @@ def run_durable_workload(
     state_dir: str | Path,
     quantum: int | None = 64,
     crash_after: int | None = None,
+    tracer: Tracer | None = None,
 ) -> tuple[list[JobOutcome], CrowdScheduler, float]:
     """Run (or resume) the workload with durable state in ``state_dir``.
 
@@ -126,13 +128,15 @@ def run_durable_workload(
     workload, and runs it; if the directory's journal already records
     this workload, the run resumes from it.  Returns the outcomes, the
     scheduler (for replay/cache statistics), and the wall-clock
-    seconds.  ``crash_after`` arms the journal's SIGKILL test hook.
+    seconds.  ``crash_after`` arms the journal's SIGKILL test hook;
+    ``tracer`` traces the run.
     """
     policy = DurabilityPolicy(state_dir, crash_after_appends=crash_after)
     scheduler = CrowdScheduler(
         workload.pools(),
         root_seed=workload.seed,
         quantum=quantum,
+        tracer=tracer,
         durability=policy,
     )
     for job in workload.jobs():

@@ -30,10 +30,19 @@ from repro.workers.threshold import (
 
 
 class _LoopOnlyModel(WorkerModel):
-    """A model without a uniform-driven decide (forces the step loop)."""
+    """A perfect comparator without a uniform-driven decide (forces the
+    step loop)."""
 
     def decide(self, values_i, values_j, rng, indices_i=None, indices_j=None):
         return np.asarray(values_i) >= np.asarray(values_j)
+
+
+class _LoopOnlyAdversary(AdversarialWorkerModel):
+    """An adversary that declines the uniform-driven decide (forces the
+    step loop)."""
+
+    def supports_uniform_decide(self):
+        return False
 
 
 class _OpaqueBehavior(BelowThresholdBehavior):
@@ -57,13 +66,11 @@ def batch_of_tasks(pairs, values, required=3):
     ]
 
 
-def make_platform(model, seed=7, size=5, vectorized=True, **kwargs):
+def make_platform(model, seed=7, size=5, **kwargs):
     pool = WorkerPool.homogeneous(
         "naive", model, size=size, availability=kwargs.pop("availability", 1.0)
     )
-    return CrowdPlatform(
-        {"naive": pool}, np.random.default_rng(seed), vectorized=vectorized, **kwargs
-    )
+    return CrowdPlatform({"naive": pool}, np.random.default_rng(seed), **kwargs)
 
 
 PAIRS = [(1, 0), (0, 2), (3, 1), (2, 4), (4, 0), (1, 2)]
@@ -71,19 +78,27 @@ VALUES = [1.0, 9.0, 4.0, 7.5, 2.5]
 
 
 class TestStepLoopParity:
-    """Flip-invariant models must agree exactly across the two paths."""
+    """Flip-invariant models must agree exactly across the two paths.
+
+    Each model is paired with a loop-only twin that answers the same
+    but has no uniform-driven decide, which keeps its platform on the
+    step loop.
+    """
 
     @pytest.mark.parametrize(
-        "model",
+        "model, loop_only",
         [
-            PerfectWorkerModel(),
-            AdversarialWorkerModel(delta=2.0, policy="stable"),
+            (PerfectWorkerModel(), _LoopOnlyModel()),
+            (
+                AdversarialWorkerModel(delta=2.0, policy="stable"),
+                _LoopOnlyAdversary(delta=2.0, policy="stable"),
+            ),
         ],
         ids=["perfect", "stable-adversary"],
     )
-    def test_answers_costs_and_counts_match(self, model):
-        fast = make_platform(model, vectorized=True)
-        step = make_platform(model, vectorized=False)
+    def test_answers_costs_and_counts_match(self, model, loop_only):
+        fast = make_platform(model)
+        step = make_platform(loop_only)
         tasks = batch_of_tasks(PAIRS, VALUES, required=3)
         report_fast = fast.submit_batch("naive", tasks)
         report_step = step.submit_batch("naive", batch_of_tasks(PAIRS, VALUES, required=3))
@@ -193,11 +208,6 @@ class TestFastPathGating:
         self.submit(platform)
         assert platform.fast_batches_total == 1
 
-    def test_vectorized_false_forces_step_loop(self):
-        platform = make_platform(PerfectWorkerModel(), vectorized=False)
-        self.submit(platform)
-        assert platform.fast_batches_total == 0
-
     def test_active_fault_plan_forces_step_loop(self):
         platform = make_platform(
             PerfectWorkerModel(), faults=FaultPlan(abandon_rate=0.2)
@@ -275,18 +285,6 @@ class TestFastPathGating:
         platform = make_platform(model)
         self.submit(platform)
         assert platform.fast_batches_total == 0
-
-    def test_step_loop_results_unaffected_by_flag(self, rng):
-        # The step loop itself is byte-for-byte the pre-fast-path code:
-        # with vectorized=False and the same platform RNG seed, results
-        # match a platform built without touching the flag but gated
-        # off the fast path by an unsupported model.
-        step = make_platform(PerfectWorkerModel(), vectorized=False)
-        gated = make_platform(_LoopOnlyModel())
-        a = step.submit_batch("naive", batch_of_tasks(PAIRS, VALUES))
-        b = gated.submit_batch("naive", batch_of_tasks(PAIRS, VALUES))
-        assert a.answers == b.answers
-        assert a.physical_steps == b.physical_steps
 
 
 class TestUniformDecideSupport:

@@ -275,7 +275,7 @@ class TestTelemetry:
         } <= kinds
         admitted = tracer.records_of_kind("job_admitted")
         assert [r["job_index"] for r in admitted] == list(range(N_JOBS))
-        # per-job spans are replayed after the run, stamped with the index
+        # per-job spans reach the scheduler's trace stamped with the index
         starts = [
             r
             for r in tracer.records_of_kind("span_start")
@@ -284,15 +284,26 @@ class TestTelemetry:
         assert len(starts) == N_JOBS
         assert sorted(r["job_index"] for r in starts) == list(range(N_JOBS))
 
-    def test_replayed_records_preserve_admission_order(self):
+    @pytest.mark.parametrize(
+        "quantum, cache",
+        [(16, False), (16, True), (None, False), (None, True)],
+        ids=["q16-cache-off", "q16-cache-on", "qall-cache-off", "qall-cache-on"],
+    )
+    def test_job_records_stream_between_admission_and_settle(self, quantum, cache):
+        """One live stream: every record lands once, in one ``seq``
+        order, and each job's records lie between its ``job_admitted``
+        and its ``job_settled``."""
         tracer = Tracer()
-        run_workload(cache=False, tracer=tracer)
-        settled = tracer.records_of_kind("job_settled")
-        assert len(settled) == N_JOBS
-        replayed = [
-            r for r in tracer.records if "job_seq" in r and r["kind"] == "span_start"
-        ]
-        # all job-replay records come after every live scheduler record,
-        # grouped by ascending job index
-        indices = [r["job_index"] for r in replayed]
-        assert indices == sorted(indices)
+        run_workload(cache=cache, quantum=quantum, tracer=tracer)
+        seqs = [r["seq"] for r in tracer.records]
+        assert seqs == list(range(len(seqs)))
+        kinds_by_job: dict[int, list[str]] = {}
+        for record in tracer.records:
+            if "job_index" in record:
+                kinds_by_job.setdefault(record["job_index"], []).append(record["kind"])
+        assert sorted(kinds_by_job) == list(range(N_JOBS))
+        for kinds in kinds_by_job.values():
+            assert kinds[0] == "job_admitted" and kinds.count("job_admitted") == 1
+            assert kinds[-1] == "job_settled" and kinds.count("job_settled") == 1
+            assert {"span_start", "span_end", "oracle_batch"} <= set(kinds)
+        assert not any("job_seq" in r or "job_t" in r for r in tracer.records)

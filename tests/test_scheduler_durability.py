@@ -552,19 +552,6 @@ class TestWarmCache:
         ]
         assert answers(warm) == answers(first)
 
-    def test_journal_disabled_policy_still_persists_cache(self, tmp_path):
-        state = tmp_path / "state"
-        workload = make_workload()
-        policy = DurabilityPolicy(state, journal=False)
-        scheduler = CrowdScheduler(
-            workload.pools(), root_seed=workload.seed, durability=policy
-        )
-        for job in workload.jobs():
-            scheduler.submit(job)
-        scheduler.run()
-        assert not (state / "journal.jsonl").exists()
-        assert (state / "comparisons.sqlite3").exists()
-
 
 class TestDurableInvalidate:
     def warmed_cache(self, tmp_path):

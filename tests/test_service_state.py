@@ -2,15 +2,16 @@
 
 * **event hand-off** — a generation's job-stamped trace records reach
   each job's ``/events`` buffer in emission order with contiguous
-  ``seq``, all before the job's settle sentinel, through one loop
-  hand-off per generation (not one per record), also when the
-  generation fails;
+  ``seq`` — ``job_admitted`` first, ``job_settled`` last — all before
+  the job's settle sentinel, through one loop hand-off per generation
+  (not one per record), also when the generation fails;
 * **event cap** — past the per-job buffer cap, ``seq`` keeps counting:
   a live subscriber misses nothing, and a stream opened late replays
   the buffer and then follows the live events;
 * **cancel order** — a job cancelled mid-generation gets its
   ``job_cancelled`` event where the cancel fell among the generation's
-  records, after ``job_admitted`` and before ``job_settled``, and
+  records: after the records of the job's first park, before the
+  tick's ``platform_batch``, with ``job_settled`` ending the stream;
   cancels racing the runner thread lose and duplicate no event;
 * **ticket release** — a settled job keeps its result (or its error,
   partial result included) but drops its scheduler ticket, so the job
@@ -102,10 +103,13 @@ class TestEventHandOff:
             assert [e["seq"] for e in stream] == list(range(len(stream)))
             kinds = [e["kind"] for e in stream]
             assert kinds[0] == "job_queued"
-            assert {"job_admitted", "platform_batch", "job_settled"} <= set(kinds)
-            # The job's own records are replayed in their emission order.
-            job_seqs = [e["job_seq"] for e in stream if "job_seq" in e]
-            assert job_seqs == sorted(job_seqs) and job_seqs
+            assert "platform_batch" in kinds
+            # The job's own records arrive as they were emitted: after
+            # job_admitted, in scheduler time, and job_settled is last.
+            assert kinds[1] == "job_admitted" and kinds.count("job_admitted") == 1
+            assert kinds[-1] == "job_settled" and kinds.count("job_settled") == 1
+            times = [e["t"] for e in stream[1:]]
+            assert times == sorted(times)
         trace_records = sum(len(stream) - 1 for stream in streams)
         settles = [cb for cb in callbacks if cb.__name__ == "_set"]
         hand_offs = [cb for cb in callbacks if cb.__name__.startswith("_publish")]
@@ -209,9 +213,17 @@ class TestCancelOrder:
         assert record.status == "cancelled"
         assert [e["seq"] for e in stream] == list(range(len(stream)))
         kinds = [e["kind"] for e in stream]
-        assert kinds[:3] == ["job_queued", "job_admitted", "job_cancelled"]
-        assert kinds.index("job_settled") > 2
-        assert stream[kinds.index("job_settled")]["status"] == "cancelled"
+        cancelled = kinds.index("job_cancelled")
+        assert kinds[:2] == ["job_queued", "job_admitted"]
+        # The cancel fell while the first tick was held: after the
+        # records of the job's first park, before that tick's batch.
+        assert [(e["kind"], e.get("span")) for e in stream[2:cancelled]] == [
+            ("span_start", "job.max"),
+            ("span_start", "filter"),
+        ]
+        assert cancelled < kinds.index("platform_batch")
+        assert kinds[-1] == "job_settled" and kinds.count("job_settled") == 1
+        assert stream[-1]["status"] == "cancelled"
 
     def test_cancels_racing_the_runner_lose_no_event(self):
         """The loop cancels jobs while the runner thread holds and releases.

@@ -2,7 +2,8 @@
 
 The integration tests pin down the accounting invariant the telemetry
 layer exists to expose: summed fresh counts of ``oracle_batch`` records
-must equal the per-class comparison counters the algorithms report.
+must equal the per-class comparison counters the algorithms report —
+per run for a single ``find_max``, per job in a scheduler's trace.
 """
 
 import json
@@ -17,6 +18,7 @@ from repro.core.oracle import ComparisonOracle
 from repro.core.randomized_maxfind import randomized_maxfind
 from repro.core.two_maxfind import two_maxfind
 from repro.platform.accounting import CostLedger
+from repro.scheduler import CrowdScheduler
 from repro.telemetry import (
     NULL_TRACER,
     JsonlSink,
@@ -31,6 +33,11 @@ from repro.telemetry import (
 from repro.workers.base import PerfectWorkerModel
 from repro.workers.expert import make_worker_classes
 from repro.workers.threshold import ThresholdWorkerModel
+
+from durable_workload import SchedulerWorkload, run_durable_workload
+
+#: A small scheduler workload: 6 jobs over 2 catalogs, every 4th TOP-3.
+SCHEDULER_WORKLOAD = dict(seed=901, n_jobs=6, n=60, u_n=3, catalogs=2)
 
 
 @pytest.fixture
@@ -382,3 +389,61 @@ class TestFilterTelemetry:
         assert len(rounds) == result.n_rounds
         assert rounds[-1]["survivors"] == len(result.survivors)
         assert all(r["fallback"] is False for r in rounds)
+
+
+def assert_fresh_per_job_matches_counters(records, outcomes):
+    """Per job and oracle label, the summed ``fresh`` of the job's
+    ``oracle_batch`` records equals its naive / expert counters."""
+    fresh: dict[tuple[int, str], int] = {}
+    for record in records:
+        if record["kind"] == "oracle_batch":
+            key = (record["job_index"], record["label"])
+            fresh[key] = fresh.get(key, 0) + record["fresh"]
+    assert {index for index, _ in fresh} == {o.ticket.index for o in outcomes}
+    for outcome in outcomes:
+        assert outcome.status == "ok"
+        index, job, result = outcome.ticket.index, outcome.job, outcome.result
+        assert fresh[(index, job.phase1.pool)] == result.naive_comparisons > 0
+        assert fresh[(index, job.phase2.pool)] == result.expert_comparisons > 0
+
+
+class TestSchedulerTrace:
+    """The accounting invariant, per job, on a scheduler's one trace."""
+
+    @pytest.mark.parametrize(
+        "quantum, cache",
+        [(16, False), (16, True), (None, False), (None, True)],
+        ids=["q16-cache-off", "q16-cache-on", "qall-cache-off", "qall-cache-on"],
+    )
+    def test_fresh_per_job_equals_its_counters(self, quantum, cache):
+        workload = SchedulerWorkload(**SCHEDULER_WORKLOAD)
+        tracer = Tracer()
+        scheduler = CrowdScheduler(
+            workload.pools(),
+            root_seed=workload.seed,
+            cache=cache,
+            quantum=quantum,
+            tracer=tracer,
+        )
+        for job in workload.jobs():
+            scheduler.submit(job)
+        assert_fresh_per_job_matches_counters(tracer.records, scheduler.run())
+
+    def test_fresh_per_job_equals_its_counters_on_resume(self, tmp_path):
+        """A run resumed from a journal prefix serves its journaled
+        requests without the platform; its jobs still report every
+        fresh comparison they asked for, as their trace does."""
+        state = tmp_path / "state"
+        workload = SchedulerWorkload(**SCHEDULER_WORKLOAD)
+        run_durable_workload(workload, state, quantum=16)
+        journal = state / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[: len(lines) // 2]))
+        (state / "comparisons.sqlite3").unlink()
+        tracer = Tracer()
+        outcomes, scheduler, _ = run_durable_workload(
+            workload, state, quantum=16, tracer=tracer
+        )
+        assert scheduler.replayed_batches > 0
+        assert tracer.records_of_kind("resume_replayed")
+        assert_fresh_per_job_matches_counters(tracer.records, outcomes)
