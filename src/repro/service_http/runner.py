@@ -27,7 +27,9 @@ held events (:meth:`ServiceState.hold_events`), which reach the owning
 jobs' event streams (the ``/events`` endpoint) in emission order, in
 one loop call when the generation ends, before any of its jobs
 settles.  A job's ``job_settled`` is therefore the last record of its
-stream.  A host-provided sink is teed live.
+stream.  A recording host tracer gets every record live, re-emitted
+through its own ``event``, so a host trace keeps one ``seq`` and ``t``
+order across generations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Callable, Mapping
 from ..platform.accounting import CostLedger
 from ..platform.workforce import WorkerPool
 from ..scheduler.engine import CrowdScheduler
-from ..telemetry import Tracer, TraceSink, resolve_tracer
+from ..telemetry import Tracer, resolve_tracer
 from ..workers import ThresholdWorkerModel
 from .state import JobRecord, ServiceState
 
@@ -99,6 +101,10 @@ class ServiceConfig:
     pool_factory: Callable[[], dict[str, WorkerPool]] = default_pool_factory
 
 
+#: The fields a tracer stamps on each record; the host stamps its own.
+_STAMPS = frozenset({"kind", "seq", "t"})
+
+
 class _EventBridgeSink:
     """A :class:`TraceSink` that routes job-stamped records to the wire.
 
@@ -106,35 +112,38 @@ class _EventBridgeSink:
     (``job_admitted``, the job's spans and batches, ``job_settled``)
     carry a ``job_index``, tick-level ones (``scheduler_tick``, ...)
     do not.  Records carrying a ``job_index`` belonging to this
-    generation are copied, in emission order, to ``outbox`` — the
+    generation are handed, in emission order, to ``outbox`` — the
     generation's held events, which ``ServiceState.release_events``
     publishes onto their jobs' ``/events`` streams with one loop
-    hand-off.  Everything is also teed to the host sink, as it is
-    written, when one is configured.
+    hand-off.  When the host tracer records, every record is also
+    re-emitted through its ``event`` as it is written: the host stamps
+    its own ``seq`` and ``t``, so its trace keeps one order across
+    generations, and the outbox owns the generation's record dict.
     """
 
     def __init__(
         self,
         outbox: list[tuple[JobRecord, dict[str, Any]]],
-        tee: TraceSink | None = None,
+        host: Tracer,
     ):
         self._outbox = outbox
-        self._tee = tee
+        self._host = host if host.enabled else None
         #: job_index (this generation) → wire record.
         self.jobs: dict[int, JobRecord] = {}
 
     def write(self, record: dict[str, Any]) -> None:
-        if self._tee is not None:
-            self._tee.write(record)
+        if self._host is not None:
+            fields = {k: v for k, v in record.items() if k not in _STAMPS}
+            self._host.event(record["kind"], **fields)
         index = record.get("job_index")
         if not isinstance(index, int):
             return
         target = self.jobs.get(index)
         if target is not None:
-            self._outbox.append((target, dict(record)))
+            self._outbox.append((target, record))
 
     def close(self) -> None:
-        pass  # the host owns the teed sink's lifetime
+        pass  # the host owns its tracer's sink
 
 
 class ServiceRunner:
@@ -177,9 +186,7 @@ class ServiceRunner:
 
     def _run_generation(self, batch: list[JobRecord]) -> None:
         generation = self._state.next_generation()
-        bridge = _EventBridgeSink(
-            self._state.hold_events(), tee=getattr(self._tracer, "sink", None)
-        )
+        bridge = _EventBridgeSink(self._state.hold_events(), self._tracer)
         # The generation tracer always runs through the bridge — the
         # ``/events`` stream works even when the host traces nothing.
         tracer = Tracer(sink=bridge)
@@ -199,9 +206,11 @@ class ServiceRunner:
         with self._tracer.span("service.generation", jobs=len(batch)):
             for record in batch:
                 try:
+                    # A taken record is unsettled, so it still has its spec.
+                    assert record.spec is not None
                     job = record.spec.build_job()
                     ticket = scheduler.submit(
-                        job, tenant=record.tenant, seed=record.spec.seed
+                        job, tenant=record.tenant, seed=record.seed
                     )
                 except Exception as exc:  # repro-lint: disable=ERR003 -- admission boundary per job
                     self._state.publish(

@@ -24,6 +24,14 @@ Backpressure is checked at :meth:`ServiceState.submit` **before** any
 job id, record, or seed exists, so a refused submission costs nothing
 and perturbs nothing — the wire twin of
 :meth:`CrowdScheduler.submit`'s check-before-spawn discipline.
+
+Retention is bounded: the registry keeps every queued and running
+record and the last :data:`_MAX_SETTLED_RECORDS` settled ones, in
+settle order.  An older settled record leaves the registry, and its id
+answers 404 ``not_found``; a long-poll or event stream that already
+holds the record still finishes.  A settled record also drops its
+spec, which no route serves, so the registry's memory stays flat
+however long the server runs.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ __all__ = ["JobRecord", "ServiceState"]
 #: Event-buffer bound per job: the newest records win; a client that
 #: needs the full firehose attaches a tracer sink server-side instead.
 _MAX_EVENTS_PER_JOB = 512
+#: Settled records kept for lookup, newest last; an older settled job
+#: is evicted and its id answers 404.
+_MAX_SETTLED_RECORDS = 4096
 
 
 class JobRecord:
@@ -52,7 +63,11 @@ class JobRecord:
     def __init__(self, job_id: str, tenant: str, spec: JobSpec):
         self.job_id = job_id
         self.tenant = tenant
-        self.spec = spec
+        #: The runner builds the job from it; dropped at settle, since
+        #: no route serves it and the view needs only these two fields.
+        self.spec: JobSpec | None = spec
+        self.kind = spec.kind
+        self.seed = spec.seed
         self.status = "queued"
         self.generation: int | None = None
         self.result: CrowdJobResult | None = None
@@ -79,9 +94,9 @@ class JobRecord:
         return JobView(
             job_id=self.job_id,
             tenant=self.tenant,
-            kind=self.spec.kind,
+            kind=self.kind,
             status=self.status,
-            seed=self.spec.seed,
+            seed=self.seed,
             generation=self.generation,
             cost=self.cost,
         )
@@ -97,6 +112,8 @@ class ServiceState:
         self.max_queued = max_queued
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord] = {}
+        #: The settled records still in ``_records``, oldest first.
+        self._settle_order: deque[JobRecord] = deque()
         self._pending: deque[JobRecord] = deque()
         self._work = threading.Event()
         self._next_id = 1
@@ -126,17 +143,25 @@ class ServiceState:
             record = JobRecord(job_id, tenant, spec)
             self._records[job_id] = record
             self._pending.append(record)
+            # Scheduled before the runner can take the record, so
+            # job_queued leads the stream.
+            self.publish(
+                record, {"kind": "job_queued", "tenant": tenant, "seed": spec.seed}
+            )
         self._work.set()
-        self.publish(
-            record, {"kind": "job_queued", "tenant": tenant, "seed": spec.seed}
-        )
         return record
 
     def get(self, job_id: str, tenant: str) -> JobRecord:
-        """Look up a job, enforcing tenant isolation (404 / 403)."""
+        """Look up a job, enforcing tenant isolation (404 / 403).
+
+        A settled job evicted from the registry is a 404 as well.
+        """
         record = self._records.get(job_id)
         if record is None:
-            raise NotFoundError(f"no such job: {job_id}")
+            raise NotFoundError(
+                f"no such job: {job_id} (settled jobs are kept for the "
+                f"last {_MAX_SETTLED_RECORDS} settles)"
+            )
         if record.tenant != tenant:
             raise ForbiddenError(f"job {job_id} belongs to another tenant")
         return record
@@ -147,9 +172,11 @@ class ServiceState:
         A queued job settles as ``"cancelled"`` right here; a running
         one gets the cooperative flag (and its scheduler ticket
         flagged) and settles at its next control point; a settled one
-        is a 409 ``conflict`` — its outcome already stands.  A running
-        job's ``job_cancelled`` event queues behind the records its
-        generation has emitted so far, so the stream keeps emission
+        is a 409 ``conflict`` — its outcome already stands.  A queued
+        job the runner has already taken is not settled here either:
+        the runner cancels its ticket on admission and settles it.  A
+        running job's ``job_cancelled`` event queues behind the records
+        its generation has emitted so far, so the stream keeps emission
         order.
         """
         with self._lock:
@@ -163,19 +190,23 @@ class ServiceState:
             held = self._held if status == "running" else None
             if held is not None:
                 held.append((record, event))
+            settled_now = False
             if status == "queued":
-                record.status = "cancelled"
-                record.error = JobCancelledError(record.job_id)
                 try:
                     self._pending.remove(record)
                 except ValueError:
-                    pass  # the runner drained it concurrently; the flag covers it
+                    pass  # the runner took it; the flag cancels it there
+                else:
+                    record.status = "cancelled"
+                    record.error = JobCancelledError(record.job_id)
+                    self._retire(record)
+                    settled_now = True
             ticket = record.ticket
         if ticket is not None:
             ticket.cancel()
         if held is None:
             self.publish(record, event)
-        if record.status == "cancelled":
+        if settled_now:
             self._notify_settled(record)
         return record.status
 
@@ -203,7 +234,12 @@ class ServiceState:
             pass  # already detached
 
     def counts(self) -> dict[str, int]:
-        """Queue/running/settled/generation counts (``/healthz``)."""
+        """Queue/running/settled/generation counts (``/healthz``).
+
+        ``settled`` counts every job that ever settled, evicted ones
+        included; the scan for ``running`` covers only what the
+        registry retains.
+        """
         with self._lock:
             queued = len(self._pending)
             running = sum(
@@ -222,18 +258,15 @@ class ServiceState:
     def take_batch(self, limit: int, timeout: float) -> list[JobRecord]:
         """Drain up to ``limit`` queued jobs (blocking up to ``timeout``).
 
-        Jobs cancelled while queued are filtered out here — their
-        status already settled — so a generation only ever contains
-        live work.
+        ``_pending`` holds only queued jobs: ``cancel`` removes a queued
+        job from it as it settles the job, and a cancel of a job taken
+        here is settled by the runner.
         """
         self._work.wait(timeout)
         batch: list[JobRecord] = []
         with self._lock:
             while self._pending and len(batch) < limit:
-                record = self._pending.popleft()
-                if record.status != "queued":
-                    continue
-                batch.append(record)
+                batch.append(self._pending.popleft())
             if not self._pending:
                 self._work.clear()
         return batch
@@ -268,8 +301,21 @@ class ServiceState:
             record.error = error
             record.cost = cost
             record.ticket = None
-            self.settled += 1
+            self._retire(record)
         self._notify_settled(record)
+
+    def _retire(self, record: JobRecord) -> None:
+        """File a record that just settled (``self._lock`` held).
+
+        The record drops its spec and joins the settled window; the
+        oldest settled records past ``_MAX_SETTLED_RECORDS`` leave the
+        registry.  Queued and running records are never in the window.
+        """
+        record.spec = None
+        self.settled += 1
+        self._settle_order.append(record)
+        while len(self._settle_order) > _MAX_SETTLED_RECORDS:
+            del self._records[self._settle_order.popleft().job_id]
 
     def next_generation(self) -> int:
         """Allocate the next generation number (runner thread)."""

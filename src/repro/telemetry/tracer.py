@@ -15,7 +15,10 @@ dict records of two shapes:
 
 Every record carries a per-tracer sequence number ``seq`` and the time
 ``t`` in seconds since the tracer was created, so a trace totally
-orders the run without wall-clock timestamps.
+orders the run without wall-clock timestamps.  A tracer may be shared
+by threads (the HTTP service's event loop and runner): each record is
+stamped and written under one lock, so ``seq`` stays contiguous and
+``t`` never decreases in sink order.
 
 The default is :data:`NULL_TRACER`, a no-op whose ``enabled`` flag is
 ``False``; hot paths guard emission with ``if tracer.enabled`` so an
@@ -31,6 +34,7 @@ See ``docs/OBSERVABILITY.md`` for the record schema and worked examples.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -131,23 +135,29 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._seq = 0
         self._t0 = time.perf_counter()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def event(self, kind: str, **fields: Any) -> None:
-        """Emit one point-in-time record of the given ``kind``."""
-        record: dict[str, Any] = {
-            "kind": kind,
-            "seq": self._seq,
-            "t": round(time.perf_counter() - self._t0, 9),
-            **fields,
-        }
-        self._seq += 1
-        if self.sink is None:
-            self.records.append(record)
-        else:
-            self.sink.write(record)
+        """Emit one point-in-time record of the given ``kind``.
+
+        Safe from any thread: the stamp and the write happen under the
+        tracer's lock, so records reach the sink in ``seq`` order.
+        """
+        with self._lock:
+            record: dict[str, Any] = {
+                "kind": kind,
+                "seq": self._seq,
+                "t": round(time.perf_counter() - self._t0, 9),
+                **fields,
+            }
+            self._seq += 1
+            if self.sink is None:
+                self.records.append(record)
+            else:
+                self.sink.write(record)
 
     @contextmanager
     def span(self, name: str, **fields: Any) -> Iterator[None]:
