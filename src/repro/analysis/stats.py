@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["MeanCI", "mean_ci", "proportion_ci", "geometric_mean"]
 
@@ -48,6 +47,10 @@ def mean_ci(samples: np.ndarray, confidence: float = 0.95) -> MeanCI:
     if n == 1:
         return MeanCI(mean=mean, half_width=0.0, n=1)
     sem = float(samples.std(ddof=1) / math.sqrt(n))
+    # Imported lazily: scipy.stats more than doubles the time and memory
+    # of ``import repro``, and nothing on the runtime path needs it.
+    from scipy import stats as scipy_stats
+
     t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return MeanCI(mean=mean, half_width=t * sem, n=n)
 
@@ -62,6 +65,8 @@ def proportion_ci(successes: int, trials: int, confidence: float = 0.95) -> Mean
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
+    from scipy import stats as scipy_stats
+
     z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials

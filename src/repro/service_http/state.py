@@ -169,7 +169,8 @@ class ServiceState:
     def cancel(self, record: JobRecord) -> str:
         """Request cancellation; returns the status after the request.
 
-        A queued job settles as ``"cancelled"`` right here; a running
+        A queued job settles as ``"cancelled"`` right here, and its
+        stream ends with ``job_cancelled`` and ``job_settled``; a running
         one gets the cooperative flag (and its scheduler ticket
         flagged) and settles at its next control point; a settled one
         is a 409 ``conflict`` — its outcome already stands.  A queued
@@ -207,6 +208,7 @@ class ServiceState:
         if held is None:
             self.publish(record, event)
         if settled_now:
+            self.publish(record, {"kind": "job_settled", "status": "cancelled"})
             self._notify_settled(record)
         return record.status
 

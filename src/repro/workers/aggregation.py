@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from .base import WorkerModel
 
@@ -72,6 +71,10 @@ def majority_accuracy_exact(p_correct: float, k: int) -> float:
         raise ValueError("k must be at least 1")
     if not 0.0 <= p_correct <= 1.0:
         raise ValueError("p_correct must be in [0, 1]")
+    # Imported lazily: scipy.stats more than doubles the time and memory
+    # of ``import repro``, and nothing on the runtime path needs it.
+    from scipy.stats import binom
+
     correct_votes = binom(k, p_correct)
     win = 1.0 - correct_votes.cdf(k // 2) if k % 2 == 1 else 1.0 - correct_votes.cdf(k // 2)
     if k % 2 == 0:

@@ -19,7 +19,6 @@ wisdom-of-crowds regime.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from .base import WorkerModel, pair_distances
 
@@ -51,6 +50,10 @@ class ThurstoneWorkerModel(WorkerModel):
 
     def correct_probability(self, dist: np.ndarray) -> np.ndarray:
         """Vectorised single-vote accuracy at the given distances."""
+        # Imported lazily: scipy.stats more than doubles the time and memory
+        # of ``import repro``, and nothing on the runtime path needs it.
+        from scipy.stats import norm
+
         return norm.cdf(np.asarray(dist, dtype=np.float64) / self.sigma)
 
     def decide(
@@ -102,6 +105,8 @@ class WeberFechnerWorkerModel(WorkerModel):
         """Single-vote accuracy for each pair of positive magnitudes."""
         if np.any(values_i <= 0) or np.any(values_j <= 0):
             raise ValueError("Weber-Fechner comparisons require positive values")
+        from scipy.stats import norm
+
         ratio = np.maximum(values_i, values_j) / np.minimum(values_i, values_j)
         return norm.cdf(np.log(ratio) / self.sigma)
 

@@ -3,10 +3,17 @@
 The compatibility story under test: ``repro.api`` re-exports every
 supported name unchanged (same objects, not copies), and the
 deprecated ``ResilientCrowdMaxJob`` and the ``repro.service`` alias of
-``repro.jobs`` finished their cycles and are *gone*.
+``repro.jobs`` finished their cycles and are *gone*.  The runtime
+behind the facade loads numpy and the standard library only: scipy
+comes in when one of its analytics first runs, never at import.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,3 +134,92 @@ class TestResilienceOption:
         assert 0 <= result.winner < len(instance.values)
         assert result.winner in result.survivors
         assert result.total_cost > 0
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Runs in a fresh interpreter: imports every entry point, serves two
+# fused jobs through the scheduler with the cache on, runs one
+# find_max, then reports which scipy modules are loaded.
+RUNTIME_PROBE = """
+import json
+import sys
+
+import numpy as np
+
+import repro
+import repro.api
+import repro.cli
+import repro.service_http.cli
+from repro.api import (
+    CrowdMaxJob,
+    CrowdScheduler,
+    JobPhaseConfig,
+    ThresholdWorkerModel,
+    WorkerPool,
+    find_max,
+    make_worker_classes,
+    planted_instance,
+)
+
+rng = np.random.default_rng(7)
+instance = planted_instance(n=80, u_n=3, u_e=2, delta_n=1.0, delta_e=0.25, rng=rng)
+pools = {
+    "crowd": WorkerPool.homogeneous(
+        "crowd", ThresholdWorkerModel(delta=1.0), size=12, cost_per_judgment=1.0
+    ),
+    "experts": WorkerPool.homogeneous(
+        "experts",
+        ThresholdWorkerModel(delta=0.25, is_expert=True),
+        size=3,
+        cost_per_judgment=20.0,
+    ),
+}
+scheduler = CrowdScheduler(pools, root_seed=2015, cache=True)
+for _ in range(2):
+    scheduler.submit(
+        CrowdMaxJob(
+            instance,
+            u_n=3,
+            phase1=JobPhaseConfig(pool="crowd"),
+            phase2=JobPhaseConfig(pool="experts"),
+        )
+    )
+outcomes = scheduler.run()
+naive, expert = make_worker_classes(delta_n=1.0, delta_e=0.25)
+find_max(instance, naive, expert, u_n=3, rng=rng)
+print(json.dumps({
+    "statuses": [outcome.status for outcome in outcomes],
+    "scipy": sorted(
+        name for name in sys.modules
+        if name == "scipy" or name.startswith("scipy.")
+    ),
+}))
+"""
+
+
+class TestScipyFreeRuntime:
+    """``import repro`` and the serving path never load scipy.
+
+    scipy backs only the majority-vote analytics, the psychometric
+    worker models and the confidence intervals, which import it when
+    they first run.  A module-level scipy import anywhere on the import
+    path would cost every process (server, CLI, benchmark, SIGKILL
+    harness child) far more start-up time and memory than the rest of
+    the package (docs/PERFORMANCE.md, "Process footprint").
+    """
+
+    def test_entry_points_and_a_fused_run_load_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", RUNTIME_PROBE],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.splitlines()[-1])
+        assert report["statuses"] == ["ok", "ok"]
+        assert report["scipy"] == []

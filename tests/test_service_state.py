@@ -24,8 +24,9 @@
   records with its own contiguous ``seq`` and non-decreasing ``t``,
   also when threads share it, and the ``/events`` streams are the
   same with or without it;
-* **queued cancel** — ``job_queued`` and ``job_cancelled`` reach the
-  stream in order, and the cancel wakes the job's waiters.
+* **queued cancel** — ``job_queued``, ``job_cancelled`` and the
+  terminal ``job_settled`` reach the stream in order, and the cancel
+  wakes the job's waiters.
 """
 
 import asyncio
@@ -184,10 +185,10 @@ class TestEventCap:
             replayed = [(await anext(stream)).seq for _ in range(_MAX_EVENTS_PER_JOB)]
             for k in range(published, published + live):
                 state.publish(record, {"kind": "tick", "k": k})
-            state.cancel(record)  # one more event, then the stream ends
+            state.cancel(record)  # job_cancelled, job_settled, then the end
             followed = [event.seq async for event in stream]
 
-            end = published + live + 1
+            end = published + live + 2
             assert [e["seq"] for e in await drain(early)] == list(range(end))
             assert buffered == list(range(published - _MAX_EVENTS_PER_JOB, published))
             assert replayed == buffered
@@ -662,5 +663,10 @@ class TestQueuedCancel:
         # Same events, same order: the subscriber attached before the
         # job_queued callback ran.
         assert stream == record.events
-        assert [e["kind"] for e in stream] == ["job_queued", "job_cancelled"]
+        assert [e["kind"] for e in stream] == [
+            "job_queued",
+            "job_cancelled",
+            "job_settled",
+        ]
+        assert stream[-1]["status"] == "cancelled"
         assert record.settled_event.is_set()
